@@ -16,8 +16,10 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <exception>
+#include <future>
 #include <utility>
 #include <vector>
 
@@ -90,6 +92,56 @@ void parallel_chunks(std::size_t n, std::size_t threads, Fn&& fn) {
     fn(c, r.begin, r.end);
   };
   shared_pool().run_chunks(chunks, body);
+}
+
+/// Runs call(i) for every i in [0, n) with at most `threads` calls in
+/// flight (same convention as above), while the caller runs `alongside()`.
+/// Built for calls that block, such as RPCs: they go to pool workers
+/// through the task queue, not the broadcast slot, so parallel_chunks
+/// regions (inside the calls, in alongside(), anywhere in the process)
+/// still get the pool's chunk path. Every call and alongside() have
+/// finished before this returns; it then rethrows the lowest-indexed
+/// call's exception, else alongside()'s (or the pool's, had it refused the
+/// calls). With one thread, or on a pool worker, it runs the calls in index
+/// order and then alongside(), all on the caller.
+template <typename Call, typename Alongside>
+void parallel_calls(std::size_t n, std::size_t threads, Call&& call,
+                    Alongside&& alongside) {
+  const std::size_t budget = resolve_parallelism(threads);
+  if (budget == 1 || ThreadPool::on_pool_thread()) {
+    for (std::size_t i = 0; i < n; ++i) call(i);
+    alongside();
+    return;
+  }
+  std::vector<std::exception_ptr> errors(n);
+  std::atomic<std::size_t> next{0};
+  // Each lane claims indices until none remain, so a slow call delays
+  // only its own lane.
+  auto lane = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+      try {
+        call(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::future<void>> lanes;
+  lanes.reserve(std::min(budget, n));
+  std::exception_ptr alongside_error;
+  try {
+    while (lanes.size() < std::min(budget, n)) {
+      lanes.push_back(shared_pool().submit(lane));
+    }
+    alongside();
+  } catch (...) {
+    alongside_error = std::current_exception();
+  }
+  for (auto& l : lanes) l.wait();
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr) std::rethrow_exception(e);
+  }
+  if (alongside_error != nullptr) std::rethrow_exception(alongside_error);
 }
 
 }  // namespace ice

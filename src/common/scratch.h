@@ -72,7 +72,7 @@ class ScratchArena {
   /// For destination-passing kernels that overwrite the whole span (pow
   /// tables, multiexp partials) — skips the memset take_zeroed pays.
   [[nodiscard]] Lease take(std::size_t words) {
-    std::vector<std::uint64_t> buf = pop();
+    std::vector<std::uint64_t> buf = pop(words);
     const bool hit = buf.size() >= words;
     stats_.record(hit);
     if (!hit) buf.resize(words);
@@ -86,10 +86,21 @@ class ScratchArena {
   void reset_stats() { stats_.reset(); }
 
  private:
-  std::vector<std::uint64_t> pop() {
+  /// The smallest free buffer holding `words`, else the largest (to be
+  /// grown). Size-aware rather than LIFO: leases nest, so the order buffers
+  /// come back in depends on the call path, and a LIFO pop could hand a
+  /// small buffer to a large lease on a path that had been warmed.
+  std::vector<std::uint64_t> pop(std::size_t words) {
     if (free_.empty()) return {};
-    std::vector<std::uint64_t> buf = std::move(free_.back());
-    free_.pop_back();
+    std::size_t pick = 0;
+    for (std::size_t i = 1; i < free_.size(); ++i) {
+      const std::size_t have = free_[i].size();
+      const std::size_t best = free_[pick].size();
+      const bool fits = have >= words;
+      if (best >= words ? fits && have < best : have > best) pick = i;
+    }
+    std::vector<std::uint64_t> buf = std::move(free_[pick]);
+    free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(pick));
     return buf;
   }
 

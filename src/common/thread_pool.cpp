@@ -88,6 +88,55 @@ void ThreadPool::run_chunks_erased(std::size_t num_chunks,
   if (job.error) std::rethrow_exception(job.error);
 }
 
+void ThreadPool::warm_up(const std::function<void()>& fn) {
+  if (on_pool_thread()) {
+    throw std::logic_error("ThreadPool::warm_up from a worker");
+  }
+  const std::size_t n = workers_.size();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t held = 0;
+  bool caller_done = false;
+  std::size_t finished = 0;
+  std::exception_ptr error;
+  // A worker holding one of these tasks stays in it until the caller has
+  // run fn, so no worker can take two: each of the n workers runs one.
+  const auto task = [&] {
+    std::unique_lock lock(mu);
+    if (++held == n) cv.notify_all();
+    cv.wait(lock, [&] { return caller_done; });
+    try {
+      fn();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+    if (++finished == n) cv.notify_all();
+  };
+  {
+    std::lock_guard lock(mu_);
+    if (stopping_) {
+      throw std::logic_error("ThreadPool::warm_up after shutdown");
+    }
+    for (std::size_t i = 0; i < n; ++i) queue_.emplace_back(task);
+  }
+  cv_.notify_all();
+  std::unique_lock lock(mu);
+  cv.wait(lock, [&] { return held == n; });
+  lock.unlock();
+  std::exception_ptr caller_error;
+  try {
+    fn();  // every worker is held: fn's chunks all run here
+  } catch (...) {
+    caller_error = std::current_exception();
+  }
+  lock.lock();
+  if (caller_error) error = caller_error;
+  caller_done = true;
+  cv.notify_all();
+  cv.wait(lock, [&] { return finished == n; });
+  if (error) std::rethrow_exception(error);
+}
+
 void ThreadPool::worker_loop() {
   t_on_pool_thread = true;
   for (;;) {

@@ -84,6 +84,18 @@ class ThreadPool {
         const_cast<Fn*>(&fn));
   }
 
+  /// Warms every thread that can run a chunk of fn's parallel regions: runs
+  /// fn() on the caller while every worker is held busy, so the caller
+  /// claims all of those chunks itself, then once on each worker, where
+  /// the regions run inline. Chunks go to whichever thread claims them
+  /// first, so warming on the caller alone leaves some threads' caches
+  /// cold. One fn() runs at a time (fn may touch shared state without
+  /// locks); rethrows the first exception once all have run. fn must not
+  /// wait for tasks submitted to this pool: the workers are held while
+  /// the caller runs it. Blocks until every worker is free; throws
+  /// std::logic_error when called from a worker (it would wait for itself).
+  void warm_up(const std::function<void()>& fn);
+
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// True when the calling thread is a worker of ANY ThreadPool. The

@@ -41,8 +41,10 @@ Proof make_batch_proof(const PublicKey& pk, const ProtocolParams& params,
 /// Whole-batch fan-out: P_j for every edge in one call, the per-edge proofs
 /// spread across the shared pool (params.parallelism chunks). Each proof is
 /// a sequential squaring chain internally, so cross-edge fan-out — not
-/// intra-modexp splitting — is what scales with cores; this is the shape
-/// the ICE-batch round (paper Sec. V) runs J edges through.
+/// intra-modexp splitting — is what scales with cores. This is the
+/// in-process model of an ICE-batch round (paper Sec. V; the fig6 bench);
+/// over RPC, UserClient::audit_edges_batch challenges the J edges
+/// concurrently and each edge proves for itself.
 /// `edge_blocks[j]` pairs with `challenge_keys[j]`.
 std::vector<Proof> make_batch_proofs(
     const PublicKey& pk, const ProtocolParams& params,

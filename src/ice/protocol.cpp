@@ -41,7 +41,8 @@ Proof make_proof(const PublicKey& pk, const ProtocolParams& params,
   // stays single: its cost is a sequential squaring chain as long as the
   // aggregate (splitting the exponent cannot shorten that chain), so
   // cross-proof fan-out — not intra-modexp splitting — is where edge-side
-  // wall-clock scaling comes from (see make_batch_proofs).
+  // wall-clock scaling comes from: an ICE-batch round challenges its J
+  // edges concurrently (UserClient::audit_edges_batch).
   const std::vector<bn::BigInt> coeffs = crypto::CoefficientPrf::expand(
       challenge.e, params.coeff_bits, blocks.size());
   std::vector<bn::BigInt> partials(

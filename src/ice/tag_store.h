@@ -129,6 +129,13 @@ class TagStore {
     server_.respond_sharded(query, out);
   }
 
+  /// The same query, streamed shard by shard into `sink`
+  /// (pir::ShardedTagServer::respond_sharded_each).
+  void respond_sharded_each(const pir::ShardedPirQuery& query,
+                            pir::ShardResponseSink& sink) const {
+    server_.respond_sharded_each(query, sink);
+  }
+
   /// Forces the TPASetup preprocessing and reports its duration in seconds
   /// (paper Tab. III row "TPASetup"; summed across shards).
   double preprocess() { return server_.preprocess(); }

@@ -399,9 +399,8 @@ void TpaService::on_shard_query(net::Reader& r, net::Writer& w) {
   // A stale query epoch throws pir::StaleShardMapError (a ProtocolError),
   // which the dispatcher maps to kFailedPrecondition for the client's
   // refresh-and-retry path.
-  pir::ShardedPirResponse out;
-  store_->respond_sharded(query, out);
-  write_sharded_response(w, out);
+  ShardedResponseWriter out(w, query, store_->tag_bits());
+  store_->respond_sharded_each(query, out);
 }
 
 void TpaService::on_split_shard(net::Reader& r, net::Writer& w) {

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "ice/batch.h"
 
@@ -279,13 +280,20 @@ bool UserClient::audit_edges_batch(
   const bn::BigInt g_s = tpa.batch_begin(batch_id, edge_channels.size());
   const std::vector<bn::BigInt> keys =
       draw_challenge_keys(params_, edge_channels.size(), rng_);
-  for (std::size_t j = 0; j < edge_channels.size(); ++j) {
-    EdgeClient(*edge_channels[j]).batch_challenge(batch_id, keys[j], g_s);
-  }
-
-  // Union retrieval + aggregated repacking.
+  // Challenge every edge (each proves and submits to the TPA over its
+  // own link) while the union retrieval runs on this thread: the two touch
+  // disjoint state, and batch_finish needs both done. Errors surface only
+  // after everything has joined, the lowest-indexed edge's first.
   const std::vector<std::size_t> u = union_of_sets(edge_sets);
-  const std::vector<bn::BigInt> tags = retrieve_tags(u);
+  std::vector<bn::BigInt> tags;
+  parallel_calls(
+      edge_channels.size(), params_.parallelism,
+      [&](std::size_t j) {
+        EdgeClient(*edge_channels[j]).batch_challenge(batch_id, keys[j], g_s);
+      },
+      [&] { tags = retrieve_tags(u); });
+
+  // Aggregated repacking.
   const std::vector<bn::BigInt> repacked =
       batch_repack(keys_.pk.pk, params_, u, tags, edge_sets, keys);
   return tpa.batch_finish(batch_id, repacked);

@@ -7,8 +7,9 @@
 //            challenges edge, parks proof) -> private tag retrieval (both
 //            TPAs) -> repack -> submit -> verdict
 //   batch:   IndexQuery x J -> batch begin (TPA) -> challenge keys e_j to
-//            each edge (fast local links) -> union retrieval -> aggregated
-//            repack -> batch finish -> verdict
+//            all J edges at once (fast local links; each edge proves and
+//            submits to the TPA), overlapped with the union retrieval ->
+//            aggregated repack -> batch finish -> verdict
 // Thread safety: after the single-threaded setup phase (setup_file or
 // attach_file), concurrent audit_edge / audit_edges_batch / retrieve_tags
 // calls on one client are safe — randomness goes through a serialized
@@ -57,6 +58,12 @@ class UserClient {
                                 std::uint32_t edge_id);
 
   /// Runs one ICE-batch audit across several edges. Returns the verdict.
+  /// The batch_challenge calls run concurrently, at most
+  /// resolve_parallelism(params.parallelism) at a time, beside the union
+  /// retrieval (parallel_calls in common/parallel.h); parallelism 1 keeps
+  /// the serial order. A failed call surfaces only after every call and
+  /// the retrieval have finished: the lowest-indexed edge's error first,
+  /// then a retrieval error.
   [[nodiscard]] bool audit_edges_batch(
       const std::vector<net::RpcChannel*>& edge_channels);
 

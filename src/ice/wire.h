@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "net/serde.h"
 #include "pir/messages.h"
 #include "pir/shard_map.h"
+#include "pir/sharded_server.h"
 
 namespace ice::proto {
 
@@ -82,6 +84,30 @@ pir::ShardedPirQuery read_sharded_query(net::Reader& r);
 void write_sharded_response(net::Writer& w,
                             const pir::ShardedPirResponse& resp);
 pir::ShardedPirResponse read_sharded_response(net::Reader& r);
+
+/// Streams a sharded response onto the wire, byte-identical to
+/// write_sharded_response: begin() sizes the whole frame from the response
+/// shapes, and each shard() packs its response into its own slice of it,
+/// from whichever thread evaluated that shard. No merged response object
+/// exists, so a TPA holds one shard's unpacked response per thread rather
+/// than the whole query's (four times the wire size).
+class ShardedResponseWriter final : public pir::ShardResponseSink {
+ public:
+  /// `w` receives the encoding; `tag_bits` is the store's K.
+  ShardedResponseWriter(net::Writer& w, const pir::ShardedPirQuery& query,
+                        std::size_t tag_bits)
+      : w_(&w), query_(&query), tag_bits_(tag_bits) {}
+
+  void begin(std::span<const std::size_t> gammas) override;
+  void shard(std::size_t i, const pir::PirResponse& response) override;
+
+ private:
+  net::Writer* w_;
+  const pir::ShardedPirQuery* query_;
+  std::size_t tag_bits_;
+  std::uint8_t* frame_ = nullptr;      // start of the shard slices in w_
+  std::vector<std::size_t> offsets_;   // slice i spans [offsets_[i], [i+1])
+};
 
 void write_bigint_list(net::Writer& w, const std::vector<bn::BigInt>& v);
 std::vector<bn::BigInt> read_bigint_list(net::Reader& r);

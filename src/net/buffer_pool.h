@@ -8,6 +8,14 @@
 // PooledBytes / release(). The pool is thread-local — no locks, no
 // cross-thread ownership — and bounded so one oversized frame cannot pin
 // memory forever.
+//
+// Large frames (above kLargeFrame, e.g. a sharded PIR response) are the
+// exception: they are pooled in ONE process-wide, size-aware list behind a
+// mutex. Such a frame is usually built on one thread and retired on another
+// (a reactor worker writes it, the loop recycles it, a client thread reads
+// the reply), so per-thread lists would each end up holding their own
+// copies, and glibc's per-thread arenas would keep every copy resident. The
+// shared list keeps the number of large buffers near the number in flight.
 #pragma once
 
 #include <cstddef>
@@ -24,18 +32,23 @@ class BufferPool {
   static BufferPool& local();
 
   /// An empty Bytes, with recycled capacity when one is pooled. Records a
-  /// hit (reused capacity) or miss (fresh buffer) in stats().
-  [[nodiscard]] Bytes acquire();
+  /// hit (reused capacity) or miss (fresh buffer) in stats(). A
+  /// `min_capacity` above kLargeFrame draws the smallest large buffer that
+  /// fits from the shared list (a miss reserves a fresh one); otherwise the
+  /// thread's own list answers and the caller grows the buffer as needed.
+  [[nodiscard]] Bytes acquire(std::size_t min_capacity = 0);
 
-  /// Returns a frame's storage to the pool. Empty-capacity buffers are
+  /// Returns a frame's storage to the pool: capacity above kLargeFrame to
+  /// the shared list, the rest to this thread's. Empty-capacity buffers are
   /// ignored; buffers above kMaxPooledCapacity and overflow beyond
-  /// kMaxPooled entries are dropped (freed) instead of pooled.
+  /// kMaxPooled entries (per list) are dropped (freed) instead of pooled.
   void release(Bytes&& buf);
 
   [[nodiscard]] const HitCounter& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
   static constexpr std::size_t kMaxPooled = 8;
+  static constexpr std::size_t kLargeFrame = std::size_t{1} << 16;
   static constexpr std::size_t kMaxPooledCapacity = std::size_t{1} << 22;
 
  private:

@@ -32,6 +32,13 @@ Bytes ConnState::acquire_buffer() {
 }
 
 void ConnState::recycle_buffer(Bytes&& buf) {
+  if (buf.capacity() > BufferPool::kLargeFrame) {
+    // Large frames go back to the process-wide list, not to this
+    // connection: otherwise every connection that ever carried one would
+    // keep its own.
+    BufferPool::local().release(std::move(buf));
+    return;
+  }
   if (buf.capacity() == 0 ||
       buf.capacity() > BufferPool::kMaxPooledCapacity ||
       spare_.size() >= BufferPool::kMaxPooled) {
@@ -85,7 +92,9 @@ bool ConnState::feed(BytesView chunk) {
           read_state_ = ReadState::kLen;
           break;
         }
-        body_ = acquire_buffer();
+        body_ = body_len_ > BufferPool::kLargeFrame
+                    ? BufferPool::local().acquire(body_len_)
+                    : acquire_buffer();
         body_.reserve(body_len_);
         read_state_ = ReadState::kBody;
         break;

@@ -1,5 +1,7 @@
 #include "net/serde.h"
 
+#include <algorithm>
+
 #include "net/buffer_pool.h"
 
 namespace ice::net {
@@ -31,14 +33,38 @@ void Writer::varint(std::uint64_t v) {
   u8(static_cast<std::uint8_t>(v));
 }
 
+void Writer::grow(std::size_t n) {
+  const std::size_t need = buf_.size() + n;
+  if (need <= buf_.capacity()) return;
+  const std::size_t capacity = std::max(need, 2 * buf_.capacity());
+  if (capacity <= BufferPool::kLargeFrame) {
+    buf_.reserve(capacity);
+    return;
+  }
+  BufferPool& pool = BufferPool::local();
+  Bytes large = pool.acquire(capacity);
+  large.assign(buf_.begin(), buf_.end());
+  pool.release(std::move(buf_));
+  buf_ = std::move(large);
+}
+
 void Writer::bytes(BytesView data) {
   varint(data.size());
+  grow(data.size());
   buf_.insert(buf_.end(), data.begin(), data.end());
 }
 
 void Writer::str(std::string_view s) {
   varint(s.size());
+  grow(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
+}
+
+std::uint8_t* Writer::extend(std::size_t n) {
+  grow(n);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return buf_.data() + at;
 }
 
 void Writer::bigint(const bn::BigInt& v) {
@@ -48,7 +74,7 @@ void Writer::bigint(const bn::BigInt& v) {
   u8(static_cast<std::uint8_t>(v.sign() < 0 ? 1 : 0));
   const std::size_t nbytes = (v.bit_length() + 7) / 8;
   varint(nbytes);
-  buf_.reserve(buf_.size() + nbytes);
+  grow(nbytes);
   const auto& limbs = v.limbs();
   for (std::size_t i = nbytes; i-- > 0;) {
     const std::size_t bit = i * 8;

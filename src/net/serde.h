@@ -26,7 +26,10 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u8(std::uint8_t v) {
+    if (buf_.size() == buf_.capacity()) grow(1);
+    buf_.push_back(v);
+  }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -36,12 +39,21 @@ class Writer {
   void bytes(BytesView data);
   void str(std::string_view s);
   void bigint(const bn::BigInt& v);
+  /// Appends `n` zero bytes and returns a pointer to them, for encoders
+  /// that fill a pre-sized region in place (possibly from several threads,
+  /// into disjoint slices). Valid until the next append.
+  std::uint8_t* extend(std::size_t n);
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   /// Moves the accumulated buffer out; the writer is empty afterwards.
   Bytes take() { return std::move(buf_); }
 
  private:
+  /// Makes room for `n` more bytes. Growth past BufferPool::kLargeFrame
+  /// moves the frame into a buffer from the pool's shared large list
+  /// instead of reallocating thread-local storage.
+  void grow(std::size_t n);
+
   Bytes buf_;
 };
 

@@ -280,7 +280,7 @@ Bytes TcpChannel::call(std::uint16_t method, BytesView request) {
     }
     // RAII holder: the frame's capacity goes back to the pool even when
     // write_all throws, so transient send errors don't degrade pooling.
-    PooledBytes holder(BufferPool::local().acquire());
+    PooledBytes holder(BufferPool::local().acquire(6 + request.size()));
     Bytes& frame = holder.mut();
     frame.resize(4 + 2 + request.size());
     encode_u32(frame.data(), static_cast<std::uint32_t>(2 + request.size()));
@@ -336,6 +336,9 @@ Bytes TcpChannel::call(std::uint16_t method, BytesView request) {
     const std::uint32_t len = decode_u32(header);
     if (len > kMaxFrame) {
       throw TransportError("TcpChannel: bad frame length");
+    }
+    if (len > BufferPool::kLargeFrame) {
+      response = BufferPool::local().acquire(len);
     }
     response.resize(len);
     if (len > 0 && !read_all(fd_, response.data(), len, deadline)) {

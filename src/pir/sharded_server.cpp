@@ -202,8 +202,9 @@ std::size_t ShardedTagServer::split(std::size_t s) {
   return upper;
 }
 
-void ShardedTagServer::respond_sharded(const ShardedPirQuery& query,
-                                       ShardedPirResponse& out) const {
+template <typename Prepare, typename Eval>
+void ShardedTagServer::fan_out(const ShardedPirQuery& query,
+                               Prepare&& prepare, Eval&& eval) const {
   std::shared_lock structure(structure_mu_);
   if (query.epoch != map_.epoch()) {
     throw StaleShardMapError(
@@ -224,7 +225,7 @@ void ShardedTagServer::respond_sharded(const ShardedPirQuery& query,
       throw ParamError("respond_sharded: empty sub-query");
     }
   }
-  out.shards.resize(query.shards.size());
+  prepare();
   // Cross-shard fan-out: each chunk claims a contiguous run of sub-queries
   // (ThreadPool::run_chunks batched-claim broadcast) and writes disjoint
   // pre-sized slots, so the merged response is identical at every thread
@@ -237,9 +238,39 @@ void ShardedTagServer::respond_sharded(const ShardedPirQuery& query,
           const ShardQuery& sq = query.shards[i];
           const Shard& shard = *shards_[sq.shard];
           std::shared_lock content(shard.mu);
-          out.shards[i].shard = sq.shard;
-          shard.server.respond_into(sq.query, out.shards[i].response);
+          eval(i, sq, shard);
         }
+      });
+}
+
+void ShardedTagServer::respond_sharded(const ShardedPirQuery& query,
+                                       ShardedPirResponse& out) const {
+  fan_out(
+      query, [&] { out.shards.resize(query.shards.size()); },
+      [&](std::size_t i, const ShardQuery& sq, const Shard& shard) {
+        out.shards[i].shard = sq.shard;
+        shard.server.respond_into(sq.query, out.shards[i].response);
+      });
+}
+
+void ShardedTagServer::respond_sharded_each(const ShardedPirQuery& query,
+                                            ShardResponseSink& sink) const {
+  fan_out(
+      query,
+      [&] {
+        std::vector<std::size_t> gammas;
+        gammas.reserve(query.shards.size());
+        for (const ShardQuery& sq : query.shards) {
+          gammas.push_back(shards_[sq.shard]->embedding.gamma());
+        }
+        sink.begin(gammas);
+      },
+      [&](std::size_t i, const ShardQuery& sq, const Shard& shard) {
+        // Per evaluation, not thread_local: a TPA's handler threads would
+        // otherwise each keep their largest response resident.
+        PirResponse scratch;
+        shard.server.respond_into(sq.query, scratch);
+        sink.shard(i, scratch);
       });
 }
 

@@ -52,6 +52,22 @@ class StaleShardMapError : public ProtocolError {
   using ProtocolError::ProtocolError;
 };
 
+/// Receiver of a streamed sharded response (respond_sharded_each).
+class ShardResponseSink {
+ public:
+  /// Called once, before any shard is evaluated and under the same
+  /// structural snapshot: gammas[i] is the embedding dimension of the shard
+  /// sub-query i names, which together with its point count and the tag
+  /// width fixes the shape of response i.
+  virtual void begin(std::span<const std::size_t> gammas) = 0;
+  /// Called once per sub-query i, from the thread that evaluated it (so
+  /// concurrently for distinct i). `response` is valid only for the call.
+  virtual void shard(std::size_t i, const PirResponse& response) = 0;
+
+ protected:
+  ~ShardResponseSink() = default;  // never owned through this interface
+};
+
 /// What one server-wide close_epoch() did.
 struct EpochCloseResult {
   bool closed = false;            // false: no shard had staged rows
@@ -122,6 +138,14 @@ class ShardedTagServer {
   void respond_sharded(const ShardedPirQuery& query,
                        ShardedPirResponse& out) const;
 
+  /// respond_sharded without the merged response object: each shard is
+  /// evaluated into a scratch response on the evaluating thread and handed
+  /// to `sink` there, so at most one shard's unpacked response per thread
+  /// exists at a time (a TPA encodes it straight onto the wire).
+  /// Same validation, locking and determinism as respond_sharded.
+  void respond_sharded_each(const ShardedPirQuery& query,
+                            ShardResponseSink& sink) const;
+
   /// Monolithic compatibility surface for the single-shard layout (the
   /// bench/test baseline and the pre-sharding wire methods). Both throw
   /// ParamError when num_shards() != 1. The embedding reference stays
@@ -134,6 +158,14 @@ class ShardedTagServer {
   double preprocess() const;
 
  private:
+  /// Validates `query` against the current structure and runs
+  /// eval(i, sub-query, shard) for every sub-query across the shared pool,
+  /// under the structure lock and each shard's content lock. `prepare()`
+  /// runs first, after validation, under the same structure lock.
+  template <typename Prepare, typename Eval>
+  void fan_out(const ShardedPirQuery& query, Prepare&& prepare,
+               Eval&& eval) const;
+
   struct Shard {
     mutable std::shared_mutex mu;  // content lock (update vs. query)
     TagDatabase db;

@@ -56,6 +56,23 @@ TEST(ScratchArenaTest, TakeZeroedZeroesExactlyTheRequestedWords) {
   for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(lease.data()[i], 0u);
 }
 
+TEST(ScratchArenaTest, TakeIsSizeAwareAcrossNestingOrders) {
+  ScratchArena arena;
+  {  // An outer small lease around an inner large one...
+    auto outer = arena.take(8);
+    auto inner = arena.take(1024);
+  }
+  // ...returns the small buffer last. A large lease on its own must still
+  // find the large buffer, and a small one the small buffer.
+  arena.reset_stats();
+  {
+    auto large = arena.take(1024);
+    auto small = arena.take(8);
+  }
+  EXPECT_EQ(arena.stats().hits, 2u);
+  EXPECT_EQ(arena.stats().misses, 0u);
+}
+
 TEST(ScratchArenaTest, ResetStatsClearsCounters) {
   ScratchArena arena;
   { auto lease = arena.take(8); }

@@ -7,7 +7,9 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -132,6 +134,117 @@ TEST(ThreadPoolTest, OnPoolThreadFlagTracksWorkerContext) {
   auto fut = pool.submit([] { return ThreadPool::on_pool_thread(); });
   EXPECT_TRUE(fut.get());
   EXPECT_FALSE(ThreadPool::on_pool_thread());
+}
+
+TEST(ThreadPoolTest, WarmUpRunsOnCallerThenOnEachWorkerInTurn) {
+  ThreadPool pool(4);
+  std::vector<std::thread::id> order;  // unsynchronized: calls take turns
+  pool.warm_up([&] { order.push_back(std::this_thread::get_id()); });
+  ASSERT_EQ(order.size(), 5u);
+  EXPECT_EQ(order.front(), std::this_thread::get_id());
+  const std::set<std::thread::id> workers(order.begin() + 1, order.end());
+  EXPECT_EQ(workers.size(), 4u);
+  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(ThreadPoolTest, WarmUpRunsEveryChunkOnEachThread) {
+  // Whichever thread runs fn must also run all of its chunks: the caller
+  // because every worker is held, the workers because they run inline.
+  std::atomic<int> foreign{0};
+  int runs = 0;
+  shared_pool().warm_up([&] {
+    ++runs;
+    const auto self = std::this_thread::get_id();
+    parallel_chunks(16, /*threads=*/0,
+                    [&](std::size_t, std::size_t, std::size_t) {
+                      if (std::this_thread::get_id() != self) ++foreign;
+                    });
+  });
+  EXPECT_EQ(runs, static_cast<int>(shared_pool().size()) + 1);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ThreadPoolTest, WarmUpRethrowsAndRefusesWorkers) {
+  ThreadPool pool(3);
+  std::atomic<int> calls{0};
+  EXPECT_THROW(pool.warm_up([&] {
+                 if (calls.fetch_add(1) == 1) throw std::runtime_error("x");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(calls.load(), 4);  // the throw did not cut the warm-up short
+  auto nested = pool.submit([&pool] { pool.warm_up([] {}); });
+  EXPECT_THROW(nested.get(), std::logic_error);
+}
+
+TEST(ParallelCallsTest, RunsEachCallOnceWithBoundedConcurrency) {
+  constexpr std::size_t kCalls = 9;
+  std::vector<std::atomic<int>> runs(kCalls);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  bool alongside_ran = false;
+  parallel_calls(
+      kCalls, /*threads=*/2,
+      [&](std::size_t i) {
+        const int now = in_flight.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        runs[i].fetch_add(1);
+        in_flight.fetch_sub(1);
+      },
+      [&] { alongside_ran = true; });
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+  EXPECT_TRUE(alongside_ran);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 2);  // the budget, not the call count
+}
+
+TEST(ParallelCallsTest, OneThreadRunsInIndexOrderOnTheCaller) {
+  std::vector<std::size_t> order;
+  const auto caller = std::this_thread::get_id();
+  parallel_calls(
+      4, /*threads=*/1,
+      [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+      },
+      [&] { order.push_back(99); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 99}));
+}
+
+TEST(ParallelCallsTest, RethrowsLowestIndexOnlyAfterEverythingJoined) {
+  constexpr std::size_t kCalls = 6;
+  std::atomic<std::size_t> finished{0};
+  std::atomic<bool> alongside_done{false};
+  try {
+    parallel_calls(
+        kCalls, /*threads=*/0,
+        [&](std::size_t i) {
+          // Later calls are slower, so the failures land first.
+          std::this_thread::sleep_for(std::chrono::milliseconds(2 * i));
+          finished.fetch_add(1);
+          if (i == 1 || i == 4) {
+            throw std::runtime_error("call " + std::to_string(i));
+          }
+        },
+        [&] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          alongside_done = true;
+          throw std::logic_error("alongside");
+        });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "call 1");
+  }
+  EXPECT_EQ(finished.load(), kCalls);
+  EXPECT_TRUE(alongside_done.load());
+
+  // With every call clean, the alongside error surfaces.
+  EXPECT_THROW(parallel_calls(
+                   3, 0, [](std::size_t) {},
+                   [] { throw std::logic_error("alongside"); }),
+               std::logic_error);
 }
 
 TEST(ParallelChunksTest, PartitionRangeCoversEveryIndexOnce) {

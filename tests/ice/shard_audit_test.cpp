@@ -14,6 +14,7 @@
 #include "ice/tag_store.h"
 #include "ice/tpa_service.h"
 #include "ice/user_client.h"
+#include "ice/wire.h"
 #include "net/channel.h"
 #include "support/ice_fixtures.h"
 
@@ -155,6 +156,33 @@ TEST_F(ShardAuditTest, MergeRejectsMismatchedResponses) {
   relabeled.shards[0].shard = 7;
   EXPECT_THROW((void)planner.merge_decode(plan, r0, relabeled),
                ProtocolError);
+}
+
+// The TPA streams shard_query responses (ShardedResponseWriter over
+// respond_sharded_each); the bytes must be exactly the merged encoding.
+TEST_F(ShardAuditTest, StreamedResponseEncodingMatchesMergedBitForBit) {
+  const auto tags = make_tags(40, 3);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+    ProtocolParams p = params_;
+    p.shard_budget = 7;  // 6 shards
+    p.parallelism = threads;
+    const TagStore store(p, tags);
+    const ShardPlanner planner(store.shard_map(), keys_.pk.modulus_bits());
+    SplitMix64 gen(0x7);
+    bn::Rng64Adapter<SplitMix64> rng(gen);
+    const ShardPlan plan =
+        planner.plan(std::vector<std::size_t>{0, 8, 9, 33, 39, 20}, rng);
+    for (const pir::ShardedPirQuery& query : plan.queries) {
+      pir::ShardedPirResponse merged;
+      store.respond_sharded(query, merged);
+      net::Writer expected;
+      write_sharded_response(expected, merged);
+      net::Writer streamed;
+      ShardedResponseWriter out(streamed, query, store.tag_bits());
+      store.respond_sharded_each(query, out);
+      EXPECT_EQ(streamed.take(), expected.take()) << "threads " << threads;
+    }
+  }
 }
 
 TEST_F(ShardAuditTest, ServerRejectsMalformedShardLists) {

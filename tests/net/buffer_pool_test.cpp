@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "net/serde.h"
 
 namespace ice::net {
@@ -18,6 +20,21 @@ void drain_pool() {
     if (b.capacity() == 0) break;  // miss: the free list is empty
   }
   pool.reset_stats();
+}
+
+// Empties the process-wide large-frame list.
+void drain_large() {
+  BufferPool& pool = BufferPool::local();
+  const std::uint64_t misses = pool.stats().misses;
+  while (pool.stats().misses == misses) {
+    (void)pool.acquire(BufferPool::kLargeFrame + 1);
+  }
+}
+
+Bytes with_capacity(std::size_t n) {
+  Bytes b;
+  b.reserve(n);
+  return b;
 }
 
 TEST(BufferPoolTest, AcquireReusesReleasedCapacity) {
@@ -72,6 +89,59 @@ TEST(BufferPoolTest, PoolEntryCountIsBounded) {
   }
   EXPECT_LE(recovered, BufferPool::kMaxPooled);
   EXPECT_EQ(recovered, BufferPool::kMaxPooled);
+}
+
+TEST(BufferPoolTest, LargeFramesAreSharedAcrossThreadsBestFit) {
+  drain_large();
+  constexpr std::size_t kSmallLarge = 2 * BufferPool::kLargeFrame;
+  constexpr std::size_t kBigLarge = 5 * BufferPool::kLargeFrame;
+  const std::uint8_t* small_data = nullptr;
+  const std::uint8_t* big_data = nullptr;
+  std::thread([&] {
+    Bytes a = with_capacity(kSmallLarge);
+    Bytes b = with_capacity(kBigLarge);
+    small_data = a.data();
+    big_data = b.data();
+    BufferPool::local().release(std::move(b));
+    BufferPool::local().release(std::move(a));
+  }).join();
+  // Released on another thread, found here; the smallest one that fits.
+  BufferPool& pool = BufferPool::local();
+  Bytes big = pool.acquire(3 * BufferPool::kLargeFrame);
+  EXPECT_EQ(big.data(), big_data);
+  Bytes small = pool.acquire(BufferPool::kLargeFrame + 1);
+  EXPECT_EQ(small.data(), small_data);
+  EXPECT_TRUE(small.empty());
+  // Large buffers never enter the thread's own list.
+  drain_pool();
+  pool.release(std::move(small));
+  EXPECT_EQ(pool.acquire().capacity(), 0u);
+  drain_large();
+}
+
+TEST(BufferPoolTest, WriterGrowsIntoASharedLargeFrame) {
+  drain_large();
+  Bytes large = with_capacity(4 * BufferPool::kLargeFrame);
+  const std::uint8_t* data = large.data();
+  BufferPool::local().release(std::move(large));
+  Writer w;
+  const Bytes chunk(BufferPool::kLargeFrame, 0x5a);
+  w.bytes(chunk);
+  w.bytes(chunk);
+  Bytes frame = w.take();
+  EXPECT_EQ(frame.data(), data);
+  EXPECT_EQ(frame.size(), 2 * (chunk.size() + 3));  // 3-byte varint each
+  std::uint8_t* slot = nullptr;
+  {
+    Writer x;
+    x.u8(1);
+    slot = x.extend(4);
+    EXPECT_EQ(x.size(), 5u);
+    slot[3] = 7;
+    EXPECT_EQ(x.take()[4], 7);
+  }
+  BufferPool::local().release(std::move(frame));
+  drain_large();
 }
 
 TEST(BufferPoolTest, PooledBytesReturnsStorageAtScopeExit) {

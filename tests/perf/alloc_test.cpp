@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bignum/random.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "ice/protocol.h"
 #include "ice/tag.h"
@@ -78,11 +79,18 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace ice {
 namespace {
 
-/// Runs `f` warm-up times, then counts heap allocations across `iters` more
-/// runs. The count is read before any gtest machinery can allocate.
+/// Runs `f` warm-up times on this thread and on every pool worker, then
+/// counts heap allocations across `iters` more runs. The count is read
+/// before any gtest machinery can allocate.
 template <typename F>
 std::uint64_t steady_state_allocs(F&& f, int warm = 8, int iters = 4) {
+  // Chunks go to whichever thread claims them first, so a thread that had
+  // not yet run some chunk could meet it inside the measured window with
+  // cold thread-local caches. warm_up makes every thread run every chunk.
   for (int i = 0; i < warm; ++i) f();
+  shared_pool().warm_up([&] {
+    for (int i = 0; i < warm; ++i) f();
+  });
   g_allocs.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   for (int i = 0; i < iters; ++i) f();
