@@ -3,12 +3,13 @@
 // Extends Fig. 2 beyond the paper's n <= 200 to show where each evaluation
 // strategy pays off: naive O(n K) recomputation, the paper's matrix
 // representation (zero-coefficient skipping + per-query monomial reuse),
-// and our bitsliced transposition (word-parallel accumulation over the K
-// bitplanes). Also reports the TPASetup preprocessing cost each strategy
-// requires.
+// and the production bitsliced engine (word-parallel accumulation over the
+// K bitplanes). Naive and matrix are the single-threaded reference
+// evaluators of reference/pir_reference.h; one query point each.
 #include "support.h"
 
 #include "pir/server.h"
+#include "pir_reference.h"
 
 namespace {
 
@@ -16,15 +17,6 @@ using namespace ice;
 using namespace ice::bench;
 
 constexpr std::size_t kTagBits = 1024;
-
-double respond_ms(const pir::TagDatabase& db, const pir::Embedding& emb,
-                  pir::EvalStrategy strategy, std::uint64_t seed, int reps) {
-  const pir::PirServer server(db, emb, strategy);
-  SplitMix64 gen(seed);
-  gf::GF4Vector q(emb.gamma());
-  for (auto& v : q) v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
-  return 1e3 * time_median(reps, [&] { (void)server.respond_one(q); });
-}
 
 }  // namespace
 
@@ -44,13 +36,21 @@ int main(int argc, char** argv) {
       db.add(bn::random_bits(rng, kTagBits));
     }
     const pir::Embedding emb(n);
-    db.build_planes();
-    const double t_naive =
-        respond_ms(db, emb, pir::EvalStrategy::kNaive, n, 1);
-    const double t_matrix =
-        respond_ms(db, emb, pir::EvalStrategy::kMatrix, n, 3);
+    const pir::reference::PlaneLists lists =
+        pir::reference::build_plane_lists(db);
+    const pir::PirServer server(db, emb);
+    SplitMix64 qgen(n);
+    gf::GF4Vector q(emb.gamma());
+    for (auto& v : q) v = gf::GF4(static_cast<std::uint8_t>(qgen.below(4)));
+    const pir::PirQuery query{{q}};
+    const double t_naive = 1e3 * time_median(1, [&] {
+      (void)pir::reference::naive_respond_one(db, emb, q);
+    });
+    const double t_matrix = 1e3 * time_median(3, [&] {
+      (void)pir::reference::matrix_respond_one(lists, emb, q);
+    });
     const double t_bits =
-        respond_ms(db, emb, pir::EvalStrategy::kBitsliced, n, 3);
+        1e3 * time_median(3, [&] { (void)server.respond(query); });
     std::printf("%-8zu %12.1f %12.2f %14.3f %13.0fx %11.0fx\n", n, t_naive,
                 t_matrix, t_bits, t_naive / t_matrix, t_naive / t_bits);
   }

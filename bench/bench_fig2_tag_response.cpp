@@ -11,6 +11,7 @@
 
 #include "ice/tag_store.h"
 #include "pir/client.h"
+#include "pir_reference.h"
 
 namespace {
 
@@ -19,21 +20,19 @@ using namespace ice::bench;
 
 constexpr std::size_t kTagBits = 1024;  // |N| in the paper
 
-struct Replica {
-  proto::TagStore store;
-  pir::PirClient client;
-};
-
-double tag_response_seconds(const proto::TagStore& store,
-                            const pir::Embedding& emb, std::size_t s_j,
-                            std::uint64_t seed, int reps) {
+pir::PirQuery make_query(const pir::Embedding& emb, std::size_t s_j,
+                         std::uint64_t seed) {
   SplitMix64 gen(seed);
   bn::Rng64Adapter rng(gen);
   const pir::PirClient client(emb, kTagBits);
   std::vector<std::size_t> wanted;
   for (std::size_t l = 0; l < s_j; ++l) wanted.push_back(gen.below(emb.n()));
-  const auto enc = client.encode(wanted, rng);
-  return time_median(reps, [&] { (void)store.respond(enc.queries[0]); });
+  return client.encode(wanted, rng).queries[0];
+}
+
+double store_response_seconds(const proto::TagStore& store,
+                              const pir::PirQuery& query, int reps) {
+  return time_median(reps, [&] { (void)store.respond(query); });
 }
 
 void run_sweep(const char* label, std::size_t n,
@@ -47,29 +46,29 @@ void run_sweep(const char* label, std::size_t n,
     proto::ProtocolParams params;
     params.modulus_bits = kTagBits;
     const auto tags = synthetic_tags(cur_n, kTagBits, 7 + v);
-    proto::TagStore naive(params, tags, pir::EvalStrategy::kNaive);
-    proto::TagStore matrix(params, tags, pir::EvalStrategy::kMatrix);
-    proto::TagStore bits(params, tags, pir::EvalStrategy::kBitsliced);
+    const proto::TagStore bits(params, tags);
+    pir::TagDatabase db(kTagBits);
+    for (const auto& t : tags) db.add(t);
     const pir::Embedding emb(cur_n);
-    const double t_naive =
-        tag_response_seconds(naive, emb, s_j, 11 + v, 1);
-    const double t_matrix =
-        tag_response_seconds(matrix, emb, s_j, 11 + v, 3);
-    const double t_bits = tag_response_seconds(bits, emb, s_j, 11 + v, 3);
+    const pir::reference::PlaneLists lists =
+        pir::reference::build_plane_lists(db);  // TPASetup, untimed here
+    const pir::PirQuery query = make_query(emb, s_j, 11 + v);
+    const double t_naive = time_median(
+        1, [&] { (void)pir::reference::naive_respond(db, emb, query); });
+    const double t_matrix = time_median(
+        3, [&] { (void)pir::reference::matrix_respond(lists, emb, query); });
+    const double t_bits = store_response_seconds(bits, query, 3);
     std::printf("%-8zu %-8s %14.2f %14.2f %14.3f %8.1fx\n", v, "",
                 t_naive * 1e3, t_matrix * 1e3, t_bits * 1e3,
                 t_naive / t_matrix);
   }
 }
 
-// Thread sweep: one tag response (n = 150, |S_j| = 5) per strategy at
-// parallelism 1/2/4/hw. All K bitplane polynomials shard across the pool
-// (bitplane slices for naive/matrix, tag-row shards for bitsliced), so
-// every strategy scales with cores — and returns bit-identical responses
-// (tests/ice/parallel_diff_test.cpp).
+// Thread sweep: one bitsliced tag response (n = 150, |S_j| = 5) at
+// parallelism 1/2/4/hw. Tag rows shard across the pool and the responses
+// are bit-identical at every setting (tests/ice/parallel_diff_test.cpp).
+// The naive and matrix references are single-threaded by design.
 void run_thread_sweep() {
-  using namespace ice;
-  using namespace ice::bench;
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::vector<std::size_t> threads{1, 2, 4};
@@ -79,24 +78,19 @@ void run_thread_sweep() {
   constexpr std::size_t kSj = 5;
   const auto tags = synthetic_tags(kN, kTagBits, 77);
   const pir::Embedding emb(kN);
+  const pir::PirQuery query = make_query(emb, kSj, 31);
 
   std::printf("\nThread sweep (n = %zu, |S_j| = %zu, hardware threads: "
               "%zu)\n", kN, kSj, hw);
-  std::printf("%-8s %14s %14s %14s\n", "threads", "naive (ms)",
-              "matrix (ms)", "bitsliced(ms)");
-  std::vector<double> naive_s, matrix_s, bits_s;
+  std::printf("%-8s %14s\n", "threads", "bitsliced(ms)");
+  std::vector<double> bits_s;
   for (std::size_t t : threads) {
     proto::ProtocolParams params;
     params.modulus_bits = kTagBits;
     params.parallelism = t;
-    proto::TagStore naive(params, tags, pir::EvalStrategy::kNaive);
-    proto::TagStore matrix(params, tags, pir::EvalStrategy::kMatrix);
-    proto::TagStore bits(params, tags, pir::EvalStrategy::kBitsliced);
-    naive_s.push_back(tag_response_seconds(naive, emb, kSj, 31, 1));
-    matrix_s.push_back(tag_response_seconds(matrix, emb, kSj, 31, 3));
-    bits_s.push_back(tag_response_seconds(bits, emb, kSj, 31, 3));
-    std::printf("%-8zu %14.2f %14.2f %14.3f\n", t, naive_s.back() * 1e3,
-                matrix_s.back() * 1e3, bits_s.back() * 1e3);
+    const proto::TagStore bits(params, tags);
+    bits_s.push_back(store_response_seconds(bits, query, 3));
+    std::printf("%-8zu %14.3f\n", t, bits_s.back() * 1e3);
   }
 
   std::string body;
@@ -104,8 +98,6 @@ void run_thread_sweep() {
   body += ", \"n\": " + std::to_string(kN);
   body += ", \"s_j\": " + std::to_string(kSj);
   body += ", \"threads\": " + json_array(threads);
-  body += ", \"naive_seconds\": " + json_array(naive_s);
-  body += ", \"matrix_seconds\": " + json_array(matrix_s);
   body += ", \"bitsliced_seconds\": " + json_array(bits_s);
   body += "}";
   emit_parallel_json("fig2_tag_response", body);
@@ -118,8 +110,9 @@ int main(int argc, char** argv) {
   print_header(
       "Fig. 2 — TPA tag response time, with vs without matrix repr.");
   std::printf("(K = %zu tag bits; 'naive' recomputes every monomial per "
-              "bitplane,\n 'matrix' is the paper's representation, "
-              "'bitsliced' is our word-parallel ablation)\n",
+              "bitplane,\n 'matrix' is the paper's representation (both "
+              "single-threaded references),\n 'bitsliced' is the production "
+              "engine)\n",
               std::size_t{kTagBits});
 
   if (smoke) {

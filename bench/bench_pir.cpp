@@ -1,21 +1,14 @@
-// Fused multi-query PIR evaluation engine vs the pre-PR per-point loop.
+// Fused multi-query PIR evaluation engine vs answering the points one by
+// one.
 //
-// For each strategy and (n, m) cell this measures
-//   loop      — m separate per-point sweeps in the pre-PR evaluation
-//               structure (see below),
-//   fused     — one respond() pass at the best SIMD tier this CPU has,
+// For each (n, m) cell this measures
+//   loop      — m single-point respond() calls (the database swept m
+//               times),
+//   fused     — one m-point respond() pass at the best SIMD tier this CPU
+//               has,
 //   fused/u64 — the same fused pass with the portable kernel forced,
 // and reports speedup plus the tag bytes each variant streams through the
-// accumulators (the loop sweeps the database m times, the fused engine
-// once). Results land in BENCH_pir.json for EXPERIMENTS.md.
-//
-// The loop baseline must represent the PRE-PR code, and this PR also sped
-// up respond_one itself (spread-table unpack, coordinate-major gradients),
-// so for the bitsliced strategy the baseline is a transcription of the old
-// inner loop — scalar XOR lambda, branchy per-component skips, fresh plane
-// allocations per call, per-bit unpack — checked against respond_one for
-// correctness before timing. Naive/matrix kept their pre-PR structure, so
-// their baseline is simply respond_one with the portable kernel forced.
+// accumulators. Results land in BENCH_pir.json for EXPERIMENTS.md.
 #include "support.h"
 
 #include "common/simd.h"
@@ -33,80 +26,6 @@ struct Cell {
   double fused_portable_ms;
 };
 
-// Pre-PR bitsliced evaluation, transcribed from the seed (plane-major
-// gradients: out.gradients[pi][j] = dF_pi/dx_j, the old wire layout).
-struct BaselineResult {
-  gf::GF4Vector values;
-  std::vector<gf::GF4Vector> gradients;
-};
-
-BaselineResult baseline_bitsliced(const pir::TagDatabase& db,
-                                  const pir::Embedding& emb,
-                                  const gf::GF4Vector& q) {
-  const std::size_t n = db.size();
-  const std::size_t k = db.tag_bits();
-  const std::size_t gamma = emb.gamma();
-  const std::size_t w = db.words_per_tag();
-  auto xor_row = [w](std::uint64_t* dst, const std::uint64_t* src) {
-    for (std::size_t j = 0; j < w; ++j) dst[j] ^= src[j];
-  };
-  std::vector<std::uint64_t> v_lo(w, 0), v_hi(w, 0);
-  std::vector<std::uint64_t> g_lo(gamma * w, 0), g_hi(gamma * w, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const pir::Embedding::Triple t = emb.triple(i);
-    const gf::GF4 qa = q[t[0]], qb = q[t[1]], qc = q[t[2]];
-    const gf::GF4 deriv[3] = {qb * qc, qa * qc, qa * qb};
-    const gf::GF4 mono = qa * deriv[0];
-    const std::uint64_t* row = db.row(i);
-    if (mono.value() & 1) xor_row(v_lo.data(), row);
-    if (mono.value() & 2) xor_row(v_hi.data(), row);
-    for (int d = 0; d < 3; ++d) {
-      const gf::GF4 dv = deriv[d];
-      if (dv.is_zero()) continue;
-      const std::size_t pos = t[static_cast<std::size_t>(d)];
-      if (dv.value() & 1) xor_row(g_lo.data() + pos * w, row);
-      if (dv.value() & 2) xor_row(g_hi.data() + pos * w, row);
-    }
-  }
-  BaselineResult out;
-  out.values.assign(k, gf::GF4::zero());
-  out.gradients.assign(k, gf::GF4Vector(gamma));
-  for (std::size_t pi = 0; pi < k; ++pi) {
-    const std::size_t word = pi / 64;
-    const std::size_t bit = pi % 64;
-    const auto lo = static_cast<std::uint8_t>((v_lo[word] >> bit) & 1u);
-    const auto hi = static_cast<std::uint8_t>((v_hi[word] >> bit) & 1u);
-    out.values[pi] = gf::GF4(static_cast<std::uint8_t>(lo | (hi << 1)));
-    gf::GF4Vector& grad = out.gradients[pi];
-    for (std::size_t j = 0; j < gamma; ++j) {
-      const auto glo =
-          static_cast<std::uint8_t>((g_lo[j * w + word] >> bit) & 1u);
-      const auto ghi =
-          static_cast<std::uint8_t>((g_hi[j * w + word] >> bit) & 1u);
-      grad[j] = gf::GF4(static_cast<std::uint8_t>(glo | (ghi << 1)));
-    }
-  }
-  return out;
-}
-
-// The transcription must compute the same response as today's engine
-// (modulo the gradient transpose) or the comparison is meaningless.
-void check_baseline(const pir::PirServer& server, const pir::TagDatabase& db,
-                    const pir::Embedding& emb, const gf::GF4Vector& q) {
-  const BaselineResult base = baseline_bitsliced(db, emb, q);
-  const pir::PirSingleResponse ref = server.respond_one(q);
-  bool ok = base.values == ref.values;
-  for (std::size_t pi = 0; ok && pi < base.values.size(); ++pi) {
-    for (std::size_t j = 0; j < emb.gamma(); ++j) {
-      if (base.gradients[pi][j] != ref.gradients[j][pi]) ok = false;
-    }
-  }
-  if (!ok) {
-    std::fprintf(stderr, "FATAL: pre-PR baseline disagrees with engine\n");
-    std::exit(1);
-  }
-}
-
 pir::PirQuery make_query(const pir::Embedding& emb, std::size_t n,
                          std::size_t tag_bits, std::size_t m,
                          std::uint64_t seed) {
@@ -118,39 +37,22 @@ pir::PirQuery make_query(const pir::Embedding& emb, std::size_t n,
   return client.encode(wanted, rng).queries[0];
 }
 
-Cell measure(const pir::PirServer& server, const pir::TagDatabase& db,
-             const pir::Embedding& emb, pir::EvalStrategy strategy,
-             const pir::PirQuery& query, int reps) {
+Cell measure(const pir::PirServer& server, const pir::PirQuery& query,
+             int reps) {
+  std::vector<pir::PirQuery> singles;
+  for (const auto& q : query.points) singles.push_back(pir::PirQuery{{q}});
   Cell cell{};
   const simd::XorTier best = simd::best_supported_tier();
+  cell.loop_ms = 1e3 * time_median(reps, [&] {
+    for (const auto& single : singles) (void)server.respond(single);
+  });
   simd::set_active_tier(simd::XorTier::kPortable);
-  if (strategy == pir::EvalStrategy::kBitsliced) {
-    check_baseline(server, db, emb, query.points.front());
-    cell.loop_ms = 1e3 * time_median(reps, [&] {
-      for (const auto& q : query.points) {
-        (void)baseline_bitsliced(db, emb, q);
-      }
-    });
-  } else {
-    cell.loop_ms = 1e3 * time_median(reps, [&] {
-      for (const auto& q : query.points) (void)server.respond_one(q);
-    });
-  }
   cell.fused_portable_ms =
       1e3 * time_median(reps, [&] { (void)server.respond(query); });
   simd::set_active_tier(best);
   cell.fused_ms =
       1e3 * time_median(reps, [&] { (void)server.respond(query); });
   return cell;
-}
-
-const char* strategy_label(pir::EvalStrategy s) {
-  switch (s) {
-    case pir::EvalStrategy::kNaive: return "naive";
-    case pir::EvalStrategy::kMatrix: return "matrix";
-    case pir::EvalStrategy::kBitsliced: return "bitsliced";
-  }
-  return "?";
 }
 
 }  // namespace
@@ -168,65 +70,46 @@ int main(int argc, char** argv) {
   print_header("Fused multi-query PIR evaluation (K = tag bits)");
   std::printf("XOR kernel: %s (best supported tier)\n",
               simd::tier_name(simd::best_supported_tier()));
-  std::printf("%-10s %-7s %-4s %12s %12s %14s %9s %9s %12s\n", "strategy",
-              "n", "m", "loop(ms)", "fused(ms)", "fused/u64(ms)", "speedup",
-              "simd x", "swept(MB)");
+  std::printf("%-7s %-4s %12s %12s %14s %9s %9s %12s\n", "n", "m",
+              "loop(ms)", "fused(ms)", "fused/u64(ms)", "speedup", "simd x",
+              "swept(MB)");
 
   for (std::size_t n : sizes) {
     pir::TagDatabase db(tag_bits);
     for (const auto& t : synthetic_tags(n, tag_bits, 7 + n)) db.add(t);
     const pir::Embedding emb(n);
-    db.build_planes();
+    const pir::PirServer server(db, emb, /*parallelism=*/1);
     const double row_mb =
         static_cast<double>(n * db.words_per_tag() * 8) / (1024.0 * 1024.0);
 
-    for (pir::EvalStrategy s :
-         {pir::EvalStrategy::kBitsliced, pir::EvalStrategy::kMatrix,
-          pir::EvalStrategy::kNaive}) {
-      for (std::size_t m : batch) {
-        // The naive strategy recomputes every monomial per bitplane; at
-        // n = 10^4 x K = 1024 a single point costs minutes, so cap it to
-        // the small database and modest batches.
-        if (!smoke && s == pir::EvalStrategy::kNaive &&
-            (n > 1000 || m > 16)) {
-          std::printf("%-10s %-7zu %-4zu %12s (skipped: naive too slow at "
-                      "this size)\n",
-                      strategy_label(s), n, m, "-");
-          continue;
-        }
-        const pir::PirServer server(db, emb, s, /*parallelism=*/1);
-        const pir::PirQuery query =
-            make_query(emb, n, tag_bits, m, 11 * n + m);
-        const int reps =
-            smoke ? 1 : (s == pir::EvalStrategy::kNaive ? 1 : 5);
-        const Cell cell = measure(server, db, emb, s, query, reps);
-        const double speedup = cell.loop_ms / cell.fused_ms;
-        const double simd_gain = cell.fused_portable_ms / cell.fused_ms;
-        std::printf("%-10s %-7zu %-4zu %12.3f %12.3f %14.3f %8.2fx %8.2fx "
-                    "%6.1f->%4.1f\n",
-                    strategy_label(s), n, m, cell.loop_ms, cell.fused_ms,
-                    cell.fused_portable_ms, speedup, simd_gain,
-                    static_cast<double>(m) * row_mb, row_mb);
-        if (!smoke) {
-          std::ostringstream body;
-          body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
-               << ", \"m\": " << m << ", \"loop_ms\": " << cell.loop_ms
-               << ", \"fused_ms\": " << cell.fused_ms
-               << ", \"fused_portable_ms\": " << cell.fused_portable_ms
-               << ", \"speedup\": " << speedup
-               << ", \"portable_over_simd\": " << simd_gain
-               << ", \"swept_mb_loop\": " << static_cast<double>(m) * row_mb
-               << ", \"swept_mb_fused\": " << row_mb << ", \"kernel\": \""
-               << simd::tier_name(simd::best_supported_tier()) << "\"}";
-          std::ostringstream section;
-          section << "pir_" << strategy_label(s) << "_n" << n << "_m" << m;
-          emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
-        }
+    for (std::size_t m : batch) {
+      const pir::PirQuery query = make_query(emb, n, tag_bits, m, 11 * n + m);
+      const Cell cell = measure(server, query, smoke ? 1 : 5);
+      const double speedup = cell.loop_ms / cell.fused_ms;
+      const double simd_gain = cell.fused_portable_ms / cell.fused_ms;
+      std::printf("%-7zu %-4zu %12.3f %12.3f %14.3f %8.2fx %8.2fx "
+                  "%6.1f->%4.1f\n",
+                  n, m, cell.loop_ms, cell.fused_ms, cell.fused_portable_ms,
+                  speedup, simd_gain, static_cast<double>(m) * row_mb,
+                  row_mb);
+      if (!smoke) {
+        std::ostringstream body;
+        body << "{\"tag_bits\": " << tag_bits << ", \"n\": " << n
+             << ", \"m\": " << m << ", \"loop_ms\": " << cell.loop_ms
+             << ", \"fused_ms\": " << cell.fused_ms
+             << ", \"fused_portable_ms\": " << cell.fused_portable_ms
+             << ", \"speedup\": " << speedup
+             << ", \"portable_over_simd\": " << simd_gain
+             << ", \"swept_mb_loop\": " << static_cast<double>(m) * row_mb
+             << ", \"swept_mb_fused\": " << row_mb << ", \"kernel\": \""
+             << simd::tier_name(simd::best_supported_tier()) << "\"}";
+        std::ostringstream section;
+        section << "pir_bitsliced_n" << n << "_m" << m;
+        emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
       }
     }
   }
   std::printf("\nTakeaway: one database sweep with m-way accumulation "
-              "replaces m sweeps;\nthe SIMD XOR kernels stack on top for "
-              "the bitsliced strategy.\n");
+              "replaces m sweeps;\nthe SIMD XOR kernels stack on top.\n");
   return 0;
 }

@@ -97,9 +97,8 @@ void BM_CoefficientPrf(benchmark::State& state) {
 BENCHMARK(BM_CoefficientPrf)->Arg(10)->Arg(100)->Arg(1000);
 
 void BM_PirRespond(benchmark::State& state) {
-  // range(0): n, range(1): strategy (0 naive, 1 matrix, 2 bitsliced).
+  // range(0): n. One query point through the fused bitsliced sweep.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto strategy = static_cast<pir::EvalStrategy>(state.range(1));
   constexpr std::size_t kTagBits = 1024;
   pir::TagDatabase db(kTagBits);
   SplitMix64 gen(4);
@@ -108,20 +107,15 @@ void BM_PirRespond(benchmark::State& state) {
     db.add(bn::random_bits(rng, kTagBits));
   }
   const pir::Embedding emb(n);
-  const pir::PirServer server(db, emb, strategy);
+  const pir::PirServer server(db, emb);
   gf::GF4Vector q(emb.gamma());
   for (auto& v : q) v = gf::GF4(static_cast<std::uint8_t>(gen.below(4)));
-  db.build_planes();
+  const pir::PirQuery query{{q}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.respond_one(q));
+    benchmark::DoNotOptimize(server.respond(query));
   }
 }
-BENCHMARK(BM_PirRespond)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({100, 2})
-    ->Args({1000, 1})
-    ->Args({1000, 2});
+BENCHMARK(BM_PirRespond)->Arg(100)->Arg(1000);
 
 }  // namespace
 

@@ -24,7 +24,7 @@ using namespace ice;
 using namespace ice::bench;
 
 struct Cell {
-  double build_s;     // server construction + plane preprocessing
+  double build_s;     // server construction (TPASetup)
   double round_ms;    // one full audit round (plan + 2 evals + merge)
   double points_per_s;
   std::size_t gamma0; // shard 0's embedding gamma (query width proxy)
@@ -38,9 +38,7 @@ Cell measure(std::span<const bn::BigInt> tags, std::size_t tag_bits,
   Cell cell{};
   Stopwatch build;
   const pir::ShardedTagServer server(tag_bits, tags, budget,
-                                     pir::EvalStrategy::kBitsliced,
                                      /*parallelism=*/1);
-  server.preprocess();
   cell.build_s = build.seconds();
   if (server.num_shards() != shards) {
     std::fprintf(stderr, "FATAL: budget %zu gave %zu shards, wanted %zu\n",

@@ -14,6 +14,7 @@
 #include "crypto/csprng.h"
 #include "ice/tag.h"
 #include "ice/tag_store.h"
+#include "pir_reference.h"
 
 namespace {
 
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   const proto::KeyPair keys = bench_keypair(params.modulus_bits);
   const proto::TagGenerator tagger(keys.pk);
   std::printf("\n%-6s %18s %24s %14s\n", "n", "TagGen laptop (s)",
-              "TagGen raspi-model (s)", "TPASetup (s)");
+              "TagGen raspi-model (s)", "TPASetup (ms)");
   const std::vector<std::size_t> sweep =
       smoke ? std::vector<std::size_t>{10}
             : std::vector<std::size_t>{40, 80, 120, 160, 200};
@@ -65,11 +66,21 @@ int main(int argc, char** argv) {
     const auto tags = tagger.tag_all(blocks);
     const double taggen = sw.seconds();
 
-    sw.reset();
-    proto::TagStore store(params, tags);
-    const double setup = sw.seconds() + store.preprocess();
+    // TPASetup: load the tag store, plus the paper's matrix representation
+    // M_pi (the reference plane lists the production engine no longer
+    // needs), built from an identical row database loaded off the clock.
+    // Both are ~1 ms, so each is the median of several builds.
+    const double load = time_median(9, [&] {
+      const proto::TagStore store(params, tags);
+    });
+    pir::TagDatabase db(params.tag_bits());
+    for (const auto& t : tags) db.add(t);
+    const double planes = time_median(9, [&] {
+      (void)pir::reference::build_plane_lists(db);
+    });
+    const double setup = load + planes;
     std::printf("%-6zu %18.3f %24.3f %14.3f\n", n, taggen,
-                taggen * kRasPiSlowdown, setup);
+                taggen * kRasPiSlowdown, setup * 1e3);
   }
 
   std::printf("\nShape check vs paper: TagGen and TPASetup linear in n; "

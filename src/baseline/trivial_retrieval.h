@@ -6,7 +6,8 @@
 // 2. Per-edge sequential auditing: run ICE-basic once per edge instead of
 //    ICE-batch — the denominator of the ratio curves in Figs. 7 and 8.
 // (3. The PIR evaluation without the matrix representation — Fig. 2's micro
-//    benchmark — is pir::EvalStrategy::kNaive in the PIR module itself.)
+//    benchmark — is the naive evaluator of reference/pir_reference.h, which
+//    only tests and the Fig. 2 / Tab. III benches link.)
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,10 @@
 // The tag-side state one TPA keeps for one user's file.
 //
 // TPASetup (paper Sec. III-A): given the n tags, fix gamma and the embedding
-// phi, and build the polynomial/matrix representation used to answer
-// private tag queries. Both TPAs hold identical replicas (the 2-server PIR
-// non-collusion assumption).
+// phi, and load the tag rows the bitsliced PIR sweep answers private tag
+// queries from (the rows ARE the K bitplane polynomials' coefficients, so
+// no separate matrix representation is built). Both TPAs hold identical
+// replicas (the 2-server PIR non-collusion assumption).
 //
 // Since PR 7 the store is range-sharded (pir/sharded_server.h): with
 // `params.shard_budget` > 0 the tag space is partitioned into contiguous
@@ -51,8 +52,7 @@ class TagStore {
  public:
   /// Takes ownership of the tag set; K comes from `params.tag_bits()`,
   /// the shard partition from `params.shard_budget`.
-  TagStore(const ProtocolParams& params, std::vector<bn::BigInt> tags,
-           pir::EvalStrategy strategy = pir::EvalStrategy::kBitsliced);
+  TagStore(const ProtocolParams& params, std::vector<bn::BigInt> tags);
 
   [[nodiscard]] std::size_t n() const { return server_.n(); }
   [[nodiscard]] std::size_t tag_bits() const { return server_.tag_bits(); }
@@ -85,12 +85,6 @@ class TagStore {
   /// and stays invisible until close_epoch().
   void update(std::size_t index, const bn::BigInt& tag) {
     server_.update(index, tag);
-  }
-
-  /// Legacy direct-write baseline (bench_updates A/B arm): exclusive
-  /// content lock + full plane invalidation on the owning shard.
-  void update_in_place(std::size_t index, const bn::BigInt& tag) {
-    server_.update_in_place(index, tag);
   }
 
   /// Pins the current epoch snapshot for the lifetime of the returned
@@ -135,10 +129,6 @@ class TagStore {
                             pir::ShardResponseSink& sink) const {
     server_.respond_sharded_each(query, sink);
   }
-
-  /// Forces the TPASetup preprocessing and reports its duration in seconds
-  /// (paper Tab. III row "TPASetup"; summed across shards).
-  double preprocess() { return server_.preprocess(); }
 
  private:
   pir::ShardedTagServer server_;

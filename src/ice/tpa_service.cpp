@@ -11,10 +11,9 @@ namespace ice::proto {
 using net::ServiceError;
 using net::Status;
 
-TpaService::TpaService(pir::EvalStrategy strategy, std::size_t parallelism,
+TpaService::TpaService(pir::EvalStrategy, std::size_t parallelism,
                        std::size_t shard_budget, const OfflineConfig& offline)
-    : strategy_(strategy),
-      dispatch_("TpaService"),
+    : dispatch_("TpaService"),
       sessions_(session_table_config()),
       batches_(session_table_config()),
       offline_cfg_(offline),
@@ -128,10 +127,9 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
   }
   const auto [pk, params] = config_snapshot();
   (void)pk;
-  // Build and preprocess the replacement store with no lock held (this is
-  // the expensive part), then swap it in.
-  auto store = std::make_unique<TagStore>(params, std::move(tags), strategy_);
-  store->preprocess();
+  // Build the replacement store with no lock held (this is the expensive
+  // part), then swap it in.
+  auto store = std::make_unique<TagStore>(params, std::move(tags));
   std::unique_lock lock(store_mu_);
   store_ = std::move(store);
 }
@@ -139,7 +137,7 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
 void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
   const pir::PirQuery query = read_pir_query(r);
   // Concurrent queries share the store under the shared lock; respond() is
-  // const and safe after preprocess().
+  // const.
   std::shared_lock lock(store_mu_);
   if (store_ == nullptr) {
     throw ServiceError(Status::kFailedPrecondition, "no tags stored");

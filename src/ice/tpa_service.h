@@ -36,14 +36,25 @@
 #include "net/rpc.h"
 #include "net/serde.h"
 
+namespace ice::pir {
+
+/// PIR evaluator selector with a single value: the bitsliced sweep is the
+/// only engine. Only TpaService's constructor still accepts it.
+enum class EvalStrategy { kBitsliced };
+
+}  // namespace ice::pir
+
 namespace ice::proto {
 
 class TpaService final : public net::RpcHandler {
  public:
-  /// `strategy` selects the PIR evaluation path (benchmarks sweep it);
+  /// The `pir::EvalStrategy` argument is ignored: the bitsliced sweep is
+  /// the only PIR engine. It stays in the signature because
+  /// auditbench/audit_bench.cpp passes it, until a benchmark change drops
+  /// it.
   /// `parallelism` is the worker-task budget for PIR evaluation and proof
   /// verification; `shard_budget` is the per-shard row cap for the tag
-  /// store (0 = monolithic; ProtocolParams::shard_budget). All three are
+  /// store (0 = monolithic; ProtocolParams::shard_budget). Both are
   /// local deployment knobs, independent of the protocol parameters
   /// received via kTpaSetKey — but both TPAs of a pair must agree on
   /// `shard_budget` (the shard-map epoch check catches drift).
@@ -52,10 +63,10 @@ class TpaService final : public net::RpcHandler {
   /// during idle cycles and start_audit / batch_begin consume them. Off by
   /// default — with it off, the RNG draw order and every wire byte are
   /// exactly the pre-PR-8 cold path.
-  explicit TpaService(
-      pir::EvalStrategy strategy = pir::EvalStrategy::kBitsliced,
-      std::size_t parallelism = 0, std::size_t shard_budget = 0,
-      const OfflineConfig& offline = {});
+  explicit TpaService(pir::EvalStrategy = pir::EvalStrategy::kBitsliced,
+                      std::size_t parallelism = 0,
+                      std::size_t shard_budget = 0,
+                      const OfflineConfig& offline = {});
 
   Bytes handle(std::uint16_t method, BytesView request) override;
 
@@ -66,7 +77,7 @@ class TpaService final : public net::RpcHandler {
   /// Direct state access for tests.
   [[nodiscard]] bool has_tags() const;
 
-  /// Epoch-engine observability (DESIGN.md §15): merge/rebuild counters
+  /// Epoch-engine observability (DESIGN.md §15): merge counters
   /// aggregated across shards plus snapshot-pin gauges. All zero before
   /// tags are stored. Thread-safe.
   [[nodiscard]] StoreEpochStats epoch_stats() const;
@@ -105,7 +116,6 @@ class TpaService final : public net::RpcHandler {
   /// ServiceError(kFailedPrecondition) before set_key.
   [[nodiscard]] std::pair<PublicKey, ProtocolParams> config_snapshot() const;
 
-  const pir::EvalStrategy strategy_;
   net::Dispatcher dispatch_;
 
   // Key/edge configuration: written by set_key/register_edge, read
@@ -115,8 +125,8 @@ class TpaService final : public net::RpcHandler {
   std::optional<PublicKey> pk_;
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
-  // Tag store: replaced wholesale by store_tags (built and preprocessed
-  // OUTSIDE the lock, then swapped in), queried shared by tag_query.
+  // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
+  // then swapped in), queried shared by tag_query.
   mutable std::shared_mutex store_mu_;
   std::unique_ptr<TagStore> store_;
 

@@ -238,7 +238,7 @@ void write_sharded_response(net::Writer& w,
 void ShardedResponseWriter::begin(std::span<const std::size_t> gammas) {
   const std::vector<pir::ShardQuery>& shards = query_->shards;
   w_->varint(shards.size());
-  // Every strategy answers a point with K values and gamma gradients of
+  // The engine answers a point with K values and gamma gradients of
   // K elements each, so the slice sizes are known before any evaluation.
   offsets_.assign(1, 0);
   for (std::size_t i = 0; i < shards.size(); ++i) {

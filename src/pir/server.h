@@ -1,19 +1,12 @@
 // TPA-side PIR evaluation (paper Alg. 1, "Auditor tau: tag response").
 //
 // For each queried point q the server evaluates all K bitplane polynomials
-// F_pi(q) and their gradients. Three interchangeable strategies implement
-// the same math:
-//
-//   kNaive     — term-by-term evaluation multiplying every monomial by its
-//                0/1 coefficient; this is the paper's Fig. 2 "micro
-//                benchmark without the matrix representation".
-//   kMatrix    — the paper's matrix representation M_pi: zero coefficients
-//                are skipped via per-bitplane index lists and the monomial /
-//                derivative values are computed once per query, then reused
-//                across all K bitplanes.
-//   kBitsliced — our ablation: the kMatrix recurrence transposed so that one
-//                tag row (K bits, packed in 64-bit words) is XOR-accumulated
-//                word-parallel into two GF(4) component bitplanes.
+// F_pi(q) and their gradients. The engine is the paper's matrix-
+// representation recurrence transposed: one tag row (K bits, packed in
+// 64-bit words) is XOR-accumulated word-parallel into two GF(4) component
+// bitplanes, so every zero coefficient is skipped for free and the K planes
+// advance together. The paper's naive and matrix (M_pi) evaluators survive
+// only as the test oracle and Fig. 2 baselines in reference/pir_reference.h.
 #pragma once
 
 #include <cstdint>
@@ -25,29 +18,21 @@
 
 namespace ice::pir {
 
-enum class EvalStrategy { kNaive, kMatrix, kBitsliced };
-
 class PirServer {
  public:
   /// Non-owning views of the database and embedding; both must outlive the
   /// server and agree on n. `parallelism` is the worker-shard budget for
   /// each evaluation (ProtocolParams::parallelism convention: 0 = hardware
-  /// concurrency, 1 = the exact single-threaded legacy path); every
-  /// strategy returns bit-identical responses at every setting.
+  /// concurrency, 1 = the exact single-threaded path); responses are
+  /// bit-identical at every setting.
   PirServer(const TagDatabase& db, const Embedding& embedding,
-            EvalStrategy strategy = EvalStrategy::kBitsliced,
             std::size_t parallelism = 1);
-
-  /// Evaluates all bitplanes and gradients at one query point. This is the
-  /// reference path: the fused batch engine below is pinned bit-identical
-  /// to a respond_one loop by the differential tests.
-  [[nodiscard]] PirSingleResponse respond_one(const gf::GF4Vector& q) const;
 
   /// Evaluates a whole query batch in ONE pass over the tag database: for
   /// each row the per-point monomial evaluations are computed once and
   /// scatter-accumulated into per-point planes (m-way accumulation instead
-  /// of m full sweeps). Bit-identical to looping respond_one over the
-  /// points, at every strategy and parallelism setting.
+  /// of m full sweeps). Pinned bit-identical to the term-by-term reference
+  /// evaluator by the differential tests.
   [[nodiscard]] PirResponse respond(const PirQuery& query) const;
 
   /// In-place respond(): reshapes `out` without discarding its entry and
@@ -55,24 +40,9 @@ class PirServer {
   /// the previous call) makes the steady-state batch sweep allocation-free.
   void respond_into(const PirQuery& query, PirResponse& out) const;
 
-  [[nodiscard]] EvalStrategy strategy() const { return strategy_; }
-
  private:
-  [[nodiscard]] PirSingleResponse eval_naive(const gf::GF4Vector& q) const;
-  [[nodiscard]] PirSingleResponse eval_matrix(const gf::GF4Vector& q) const;
-  [[nodiscard]] PirSingleResponse eval_bitsliced(
-      const gf::GF4Vector& q) const;
-
-  void eval_naive_batch(const std::vector<gf::GF4Vector>& qs,
-                        PirResponse& out) const;
-  void eval_matrix_batch(const std::vector<gf::GF4Vector>& qs,
-                         PirResponse& out) const;
-  void eval_bitsliced_batch(const std::vector<gf::GF4Vector>& qs,
-                            PirResponse& out) const;
-
   const TagDatabase* db_;
   const Embedding* embedding_;
-  EvalStrategy strategy_;
   std::size_t parallelism_;
 };
 

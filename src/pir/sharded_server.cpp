@@ -10,16 +10,14 @@ namespace ice::pir {
 ShardedTagServer::ShardedTagServer(std::size_t tag_bits,
                                    std::span<const bn::BigInt> tags,
                                    std::size_t max_shard_n,
-                                   EvalStrategy strategy,
                                    std::size_t parallelism)
     : tag_bits_(tag_bits),
-      strategy_(strategy),
       parallelism_(parallelism),
       map_(tags.size(), max_shard_n) {
   shards_.reserve(map_.num_shards());
   for (const ShardRange& r : map_.ranges()) {
     shards_.push_back(std::make_unique<Shard>(
-        tag_bits_, tags.subspan(r.begin, r.size()), strategy_, parallelism_));
+        tag_bits_, tags.subspan(r.begin, r.size()), parallelism_));
   }
 }
 
@@ -54,37 +52,22 @@ std::size_t ShardedTagServer::shard_gamma(std::size_t shard) const {
 bn::BigInt ShardedTagServer::tag(std::size_t index) const {
   std::shared_lock structure(structure_mu_);
   const std::size_t s = map_.shard_of(index);
-  const Shard& shard = *shards_[s];
-  std::shared_lock content(shard.mu);
-  return shard.db.tag(index - map_.range(s).begin);
+  return shards_[s]->db.tag(index - map_.range(s).begin);
 }
 
 void ShardedTagServer::update(std::size_t index, const bn::BigInt& tag) {
   std::shared_lock structure(structure_mu_);
   const std::size_t s = map_.shard_of(index);
-  Shard& shard = *shards_[s];
-  // Shared content lock: staging is internally synchronized and never
-  // touches base rows, so updates ride alongside queries of this shard.
-  std::shared_lock content(shard.mu);
-  shard.db.update(index - map_.range(s).begin, tag);
-}
-
-void ShardedTagServer::update_in_place(std::size_t index,
-                                       const bn::BigInt& tag) {
-  std::shared_lock structure(structure_mu_);
-  const std::size_t s = map_.shard_of(index);
-  Shard& shard = *shards_[s];
-  std::unique_lock content(shard.mu);
-  shard.db.update_in_place(index - map_.range(s).begin, tag);
+  // Staging is internally synchronized and never touches base rows, so
+  // updates ride alongside queries of this shard.
+  shards_[s]->db.update(index - map_.range(s).begin, tag);
 }
 
 EpochCloseResult ShardedTagServer::close_epoch() {
   std::unique_lock structure(structure_mu_);
   EpochCloseResult out;
   for (auto& shard : shards_) {
-    const EpochMergeStats m = shard->db.close_epoch();
-    out.rows_merged += m.rows_merged;
-    if (m.planes_rebuilt) ++out.plane_rebuilds;
+    out.rows_merged += shard->db.close_epoch().rows_merged;
   }
   if (out.rows_merged > 0) {
     // Content changed: plans minted before the close would decode the new
@@ -111,10 +94,7 @@ EpochStats ShardedTagServer::epoch_stats() const {
     const EpochStats s = shard->db.epoch_stats();
     out.epochs_closed += s.epochs_closed;
     out.rows_merged += s.rows_merged;
-    out.plane_rebuilds += s.plane_rebuilds;
-    out.rebuilds_avoided += s.rebuilds_avoided;
     out.staged_rows += s.staged_rows;
-    out.dirty_rows += s.dirty_rows;
   }
   return out;
 }
@@ -131,8 +111,7 @@ std::vector<bn::BigInt> ShardedTagServer::drain_shard(std::size_t s) const {
 
 void ShardedTagServer::rebuild_shard(std::size_t s,
                                      std::span<const bn::BigInt> tags) {
-  shards_[s] =
-      std::make_unique<Shard>(tag_bits_, tags, strategy_, parallelism_);
+  shards_[s] = std::make_unique<Shard>(tag_bits_, tags, parallelism_);
 }
 
 std::size_t ShardedTagServer::append(const bn::BigInt& tag) {
@@ -156,7 +135,7 @@ std::size_t ShardedTagServer::append(const bn::BigInt& tag) {
         tag_bits_,
         std::span<const bn::BigInt>(tail).subspan(hi.begin - tail_begin,
                                                   hi.size()),
-        strategy_, parallelism_));
+        parallelism_));
     for (const auto& [local, t] : staged) {
       if (local < lo.size()) {
         shards_[last]->db.update(local, t);
@@ -190,7 +169,7 @@ std::size_t ShardedTagServer::split(std::size_t s) {
       std::make_unique<Shard>(
           tag_bits_,
           std::span<const bn::BigInt>(tags).subspan(lo.size(), hi.size()),
-          strategy_, parallelism_));
+          parallelism_));
   // Re-stage pending updates into whichever half owns them now.
   for (const auto& [local, t] : staged) {
     if (local < lo.size()) {
@@ -236,9 +215,7 @@ void ShardedTagServer::fan_out(const ShardedPirQuery& query,
       [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const ShardQuery& sq = query.shards[i];
-          const Shard& shard = *shards_[sq.shard];
-          std::shared_lock content(shard.mu);
-          eval(i, sq, shard);
+          eval(i, sq, *shards_[sq.shard]);
         }
       });
 }
@@ -289,19 +266,7 @@ PirResponse ShardedTagServer::respond_single(const PirQuery& query) const {
     throw ParamError(
         "respond_single: monolithic surface requires exactly one shard");
   }
-  const Shard& shard = *shards_[0];
-  std::shared_lock content(shard.mu);
-  return shard.server.respond(query);
-}
-
-double ShardedTagServer::preprocess() const {
-  std::shared_lock structure(structure_mu_);
-  double total = 0.0;
-  for (const auto& shard : shards_) {
-    std::shared_lock content(shard->mu);
-    total += shard->db.build_planes();
-  }
-  return total;
+  return shards_[0]->server.respond(query);
 }
 
 }  // namespace ice::pir

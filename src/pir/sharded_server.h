@@ -12,19 +12,16 @@
 // shard(s) a query touches but, within a shard, the weight-3 perturbation
 // hides the index exactly as in the monolithic layout.
 //
-// Locking (two levels, both reader-writer) + epochs (DESIGN.md §15):
-//   * `structure_mu_` guards the shard vector and the ShardMap. Queries,
-//     tag reads and staged updates take it shared; `append`/`split`/
-//     `close_epoch` take it exclusive (they mutate base state and bump the
-//     map epoch). A fan-out therefore runs against one structural AND
-//     content snapshot: neither a split nor an epoch close can land
-//     mid-audit, and a query planned before either fails the epoch check
-//     with the typed StaleShardMapError below.
-//   * Each shard's `mu` guards its CONTENT for paths that edit base rows
-//     directly. Queries take it shared; `update` now STAGES into the
-//     TagDatabase delta plane and also takes it only shared — an update
-//     storm no longer excludes audits of the same shard. Only the legacy
-//     `update_in_place` baseline still takes it exclusive.
+// Locking + epochs (DESIGN.md §15): `structure_mu_` (reader-writer) guards
+// the shard vector, the ShardMap and every shard's base rows. Queries, tag
+// reads and staged updates take it shared — staging is internally
+// synchronized inside TagDatabase and never touches base rows, so an update
+// storm rides alongside audits of the same shard. `append`/`split`/
+// `close_epoch` take it exclusive (they mutate base state and bump the map
+// epoch). A fan-out therefore runs against one structural AND content
+// snapshot: neither a split nor an epoch close can land mid-audit, and a
+// query planned before either fails the epoch check with the typed
+// StaleShardMapError below.
 #pragma once
 
 #include <cstdint>
@@ -73,19 +70,16 @@ struct EpochCloseResult {
   bool closed = false;            // false: no shard had staged rows
   std::uint64_t epoch = 0;        // map epoch after the call
   std::size_t rows_merged = 0;    // staged rows applied across all shards
-  std::size_t plane_rebuilds = 0; // shards whose overlay forced a rebuild
 };
 
 class ShardedTagServer {
  public:
   /// Builds the initial partition of `tags` with per-shard budget
   /// `max_shard_n` (0 = one monolithic shard, the paper's layout).
-  /// `strategy`/`parallelism` are forwarded to every per-shard PirServer;
-  /// parallelism also bounds the cross-shard fan-out of respond_sharded.
+  /// `parallelism` is forwarded to every per-shard PirServer and also
+  /// bounds the cross-shard fan-out of respond_sharded.
   ShardedTagServer(std::size_t tag_bits, std::span<const bn::BigInt> tags,
-                   std::size_t max_shard_n,
-                   EvalStrategy strategy = EvalStrategy::kBitsliced,
-                   std::size_t parallelism = 1);
+                   std::size_t max_shard_n, std::size_t parallelism = 1);
 
   [[nodiscard]] std::size_t tag_bits() const { return tag_bits_; }
   [[nodiscard]] std::size_t n() const;
@@ -100,15 +94,10 @@ class ShardedTagServer {
   [[nodiscard]] bn::BigInt tag(std::size_t index) const;
 
   /// Stages a replacement for the tag at global `index` into the next
-  /// epoch (TagDatabase::update). Takes only SHARED locks: concurrent
-  /// queries of the same shard proceed, and the new tag stays invisible to
-  /// every read until close_epoch() merges it.
+  /// epoch (TagDatabase::update). Takes only the SHARED structure lock:
+  /// concurrent queries of the same shard proceed, and the new tag stays
+  /// invisible to every read until close_epoch() merges it.
   void update(std::size_t index, const bn::BigInt& tag);
-
-  /// Legacy pre-epoch baseline: writes the row directly under the owning
-  /// shard's exclusive content lock and drops its plane cache. Kept for
-  /// the bench_updates A/B arm.
-  void update_in_place(std::size_t index, const bn::BigInt& tag);
 
   /// Merges every shard's staged rows into its base state under the
   /// exclusive structure lock, and bumps the map epoch iff any row merged
@@ -153,30 +142,25 @@ class ShardedTagServer {
   [[nodiscard]] const Embedding& single_embedding() const;
   [[nodiscard]] PirResponse respond_single(const PirQuery& query) const;
 
-  /// Forces TPASetup preprocessing (plane builds) on every shard; returns
-  /// the summed build time in seconds.
-  double preprocess() const;
-
  private:
   /// Validates `query` against the current structure and runs
   /// eval(i, sub-query, shard) for every sub-query across the shared pool,
-  /// under the structure lock and each shard's content lock. `prepare()`
-  /// runs first, after validation, under the same structure lock.
+  /// under the shared structure lock. `prepare()` runs first, after
+  /// validation, under the same lock.
   template <typename Prepare, typename Eval>
   void fan_out(const ShardedPirQuery& query, Prepare&& prepare,
                Eval&& eval) const;
 
   struct Shard {
-    mutable std::shared_mutex mu;  // content lock (update vs. query)
     TagDatabase db;
     Embedding embedding;
     PirServer server;
 
     Shard(std::size_t tag_bits, std::span<const bn::BigInt> tags,
-          EvalStrategy strategy, std::size_t parallelism)
+          std::size_t parallelism)
         : db(tag_bits),
           embedding(tags.empty() ? 1 : tags.size()),
-          server(db, embedding, strategy, parallelism) {
+          server(db, embedding, parallelism) {
       for (const auto& t : tags) db.add(t);
     }
   };
@@ -188,12 +172,11 @@ class ShardedTagServer {
   [[nodiscard]] std::vector<bn::BigInt> drain_shard(std::size_t s) const;
 
   std::size_t tag_bits_;
-  EvalStrategy strategy_;
   std::size_t parallelism_;
 
   mutable std::shared_mutex structure_mu_;  // guards shards_ + map_
   // unique_ptr slots: PirServer keeps non-owning pointers into its Shard,
-  // and Shard carries a mutex, so shard objects must never move.
+  // so shard objects must never move.
   std::vector<std::unique_ptr<Shard>> shards_;
   ShardMap map_;
 };

@@ -421,8 +421,6 @@ UpdateStormReport run_update_storm_simulation(const UpdateStormConfig& config,
   const StoreEpochStats stats = world.tpa0.epoch_stats();
   report.epochs_closed = stats.db.epochs_closed;
   report.rows_merged = stats.db.rows_merged;
-  report.plane_rebuilds = stats.db.plane_rebuilds;
-  report.rebuilds_avoided = stats.db.rebuilds_avoided;
   report.pins_taken = stats.pins_taken;
   return report;
 }

@@ -169,8 +169,6 @@ struct UpdateStormReport {
   // Epoch-engine counters from the verifier TPA (TpaService::epoch_stats).
   std::uint64_t epochs_closed = 0;
   std::uint64_t rows_merged = 0;
-  std::uint64_t plane_rebuilds = 0;
-  std::uint64_t rebuilds_avoided = 0;
   std::uint64_t pins_taken = 0;
   // The two axes measured against each other (wall-clock; not
   // deterministic, unlike every counter above).

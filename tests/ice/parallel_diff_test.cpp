@@ -15,7 +15,9 @@
 #include "ice/tag.h"
 #include "ice/tag_store.h"
 #include "pir/client.h"
+#include "pir_reference.h"
 #include "support/ice_fixtures.h"
+#include "support/pir_compare.h"
 
 namespace ice::proto {
 namespace {
@@ -131,38 +133,35 @@ TEST_F(ParallelDiffTest, VerifySameVerdictAtEveryThreadCount) {
   }
 }
 
+// The store's bitsliced answer at every thread count equals both paper
+// evaluators (the naive term-by-term reference and the matrix
+// representation) over the same tags, bit for bit.
 TEST_F(ParallelDiffTest, PirResponsesBitExactForAllStrategies) {
   constexpr std::size_t kTags = 60;
   const auto blocks = ice::testing::make_blocks(kTags, 64, 60);
   const auto tags = tagger_.tag_all(blocks);
+  const std::size_t tag_bits = keys_.pk.modulus_bits();
   const pir::Embedding emb(kTags);
-  const pir::PirClient client(emb, keys_.pk.modulus_bits());
+  const pir::PirClient client(emb, tag_bits);
   // One fixed encoded query reused against every server configuration.
   SplitMix64 qgen(0x61);
   bn::Rng64Adapter<SplitMix64> qrng(qgen);
   const auto enc = client.encode(std::vector<std::size_t>{3, 17, 42}, qrng);
-  for (pir::EvalStrategy strategy :
-       {pir::EvalStrategy::kNaive, pir::EvalStrategy::kMatrix,
-        pir::EvalStrategy::kBitsliced}) {
-    ProtocolParams serial_params = params_;
-    serial_params.modulus_bits = keys_.pk.modulus_bits();
-    serial_params.parallelism = 1;
-    TagStore reference(serial_params, tags, strategy);
-    const pir::PirResponse serial = reference.respond(enc.queries[0]);
-    for (std::size_t t : tested_thread_counts()) {
-      ProtocolParams p = serial_params;
-      p.parallelism = t;
-      TagStore store(p, tags, strategy);
-      const pir::PirResponse parallel = store.respond(enc.queries[0]);
-      ASSERT_EQ(parallel.entries.size(), serial.entries.size());
-      for (std::size_t e = 0; e < serial.entries.size(); ++e) {
-        EXPECT_EQ(parallel.entries[e].values, serial.entries[e].values)
-            << "strategy=" << static_cast<int>(strategy) << " threads=" << t;
-        EXPECT_EQ(parallel.entries[e].gradients, serial.entries[e].gradients)
-            << "strategy=" << static_cast<int>(strategy) << " threads=" << t;
-      }
-    }
+  pir::TagDatabase db(tag_bits);
+  for (const auto& t : tags) db.add(t);
+  const pir::PirResponse naive =
+      pir::reference::naive_respond(db, emb, enc.queries[0]);
+  const pir::PirResponse matrix = pir::reference::matrix_respond(
+      pir::reference::build_plane_lists(db), emb, enc.queries[0]);
+  for (std::size_t t : tested_thread_counts()) {
+    ProtocolParams p = params_;
+    p.modulus_bits = tag_bits;
+    p.parallelism = t;
+    TagStore store(p, tags);
+    ice::testing::expect_same_response(store.respond(enc.queries[0]), naive,
+                                       "threads=" + std::to_string(t));
   }
+  ice::testing::expect_same_response(matrix, naive, "matrix");
 }
 
 TEST_F(ParallelDiffTest, BatchRepackAndVerifyBitExactAtEveryThreadCount) {

@@ -1,5 +1,6 @@
-// Cross-shard audit fan-out: the differential suite pinning sharded ==
-// single-shard retrieval bit-for-bit, shard-plan structure over hostile
+// Cross-shard audit fan-out: the differential suite pinning sharded
+// responses to the naive reference and sharded == single-shard retrieval
+// bit-for-bit, shard-plan structure over hostile
 // maps, the typed stale-plan rejection end-to-end through the RPC layer,
 // and the UserClient refresh-and-retry path after splits and appends.
 #include "ice/shard_audit.h"
@@ -16,7 +17,9 @@
 #include "ice/user_client.h"
 #include "ice/wire.h"
 #include "net/channel.h"
+#include "pir_reference.h"
 #include "support/ice_fixtures.h"
+#include "support/pir_compare.h"
 
 namespace ice::proto {
 namespace {
@@ -37,10 +40,11 @@ class ShardAuditTest : public ::testing::Test {
   TagGenerator tagger_;
 };
 
-// The satellite differential: shard counts {1, 2, 7, 32} x every
-// EvalStrategy x serial/bounded/hardware thread budgets, all driven by the
-// SAME seed and challenge. Every configuration must return byte-identical
-// tag lists (and they must be the exact stored tags).
+// The shard differential: shard counts {1, 2, 7, 32} x serial/bounded/
+// hardware thread budgets, all driven by the SAME seed and challenge. Each
+// replica's raw sharded answer must equal the naive term-by-term reference
+// over the same shard layout, and every configuration must decode
+// byte-identical tag lists (the exact stored tags).
 TEST_F(ShardAuditTest, ShardedEqualsUnshardedBitForBit) {
   constexpr std::size_t kN = 96;
   const auto tags = make_tags(kN, 1);
@@ -49,36 +53,44 @@ TEST_F(ShardAuditTest, ShardedEqualsUnshardedBitForBit) {
   // budget -> shard count: 0 -> 1, 48 -> 2, 14 -> 7, 3 -> 32.
   const std::size_t budgets[] = {0, 48, 14, 3};
   const std::size_t expected_shards[] = {1, 2, 7, 32};
-  const pir::EvalStrategy strategies[] = {pir::EvalStrategy::kNaive,
-                                          pir::EvalStrategy::kMatrix,
-                                          pir::EvalStrategy::kBitsliced};
   const std::size_t thread_budgets[] = {1, 2, 0};
 
-  std::vector<bn::BigInt> baseline;  // 1-shard kBitsliced serial result
+  std::vector<bn::BigInt> baseline;  // 1-shard serial result
   for (std::size_t b = 0; b < std::size(budgets); ++b) {
-    for (const auto strategy : strategies) {
-      for (const std::size_t threads : thread_budgets) {
-        ProtocolParams p = params_;
-        p.shard_budget = budgets[b];
-        p.parallelism = threads;
-        const TagStore tpa0(p, tags, strategy);
-        const TagStore tpa1(p, tags, strategy);
-        ASSERT_EQ(tpa0.num_shards(), expected_shards[b]);
-        SplitMix64 gen(0xd1ff);  // same seed for every configuration
-        bn::Rng64Adapter<SplitMix64> rng(gen);
-        const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
-        ASSERT_EQ(got.size(), wanted.size());
-        for (std::size_t l = 0; l < wanted.size(); ++l) {
-          EXPECT_EQ(got[l], tags[wanted[l]])
-              << "budget=" << budgets[b] << " strategy="
-              << static_cast<int>(strategy) << " threads=" << threads
-              << " l=" << l;
-        }
-        if (baseline.empty()) {
-          baseline = got;
-        } else {
-          EXPECT_EQ(got, baseline);
-        }
+    for (const std::size_t threads : thread_budgets) {
+      ProtocolParams p = params_;
+      p.shard_budget = budgets[b];
+      p.parallelism = threads;
+      const TagStore tpa0(p, tags);
+      const TagStore tpa1(p, tags);
+      ASSERT_EQ(tpa0.num_shards(), expected_shards[b]);
+      const ShardPlanner planner(tpa0.shard_map(), tpa0.tag_bits());
+      SplitMix64 gen(0xd1ff);  // same seed for every configuration
+      bn::Rng64Adapter<SplitMix64> rng(gen);
+      const ShardPlan plan = planner.plan(wanted, rng);
+      pir::ShardedPirResponse r[2];
+      tpa0.respond_sharded(plan.queries[0], r[0]);
+      tpa1.respond_sharded(plan.queries[1], r[1]);
+      for (std::size_t tau = 0; tau < 2; ++tau) {
+        ice::testing::expect_same_sharded(
+            r[tau],
+            pir::reference::naive_respond_sharded(
+                tpa0.shard_map(), tags, tpa0.tag_bits(), plan.queries[tau]),
+            "budget=" + std::to_string(budgets[b]) +
+                " threads=" + std::to_string(threads) +
+                " tau=" + std::to_string(tau));
+      }
+      const auto got = planner.merge_decode(plan, r[0], r[1]);
+      ASSERT_EQ(got.size(), wanted.size());
+      for (std::size_t l = 0; l < wanted.size(); ++l) {
+        EXPECT_EQ(got[l], tags[wanted[l]])
+            << "budget=" << budgets[b] << " threads=" << threads
+            << " l=" << l;
+      }
+      if (baseline.empty()) {
+        baseline = got;
+      } else {
+        EXPECT_EQ(got, baseline);
       }
     }
   }

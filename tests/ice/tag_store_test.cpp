@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "ice/tag.h"
+#include "pir_reference.h"
 #include "support/ice_fixtures.h"
 
 namespace ice::proto {
@@ -85,12 +88,6 @@ TEST_F(TagStoreTest, PinsRefuseNonForcedClose) {
   EXPECT_EQ(stats.db.rows_merged, 1u);
 }
 
-TEST_F(TagStoreTest, PreprocessReportsTime) {
-  const auto blocks = ice::testing::make_blocks(8, 64, 4);
-  TagStore store(params_, tagger_.tag_all(blocks));
-  EXPECT_GE(store.preprocess(), 0.0);
-}
-
 TEST_F(TagStoreTest, DirectRetrievalRecoversExactTags) {
   const auto blocks = ice::testing::make_blocks(30, 64, 5);
   const auto tags = tagger_.tag_all(blocks);
@@ -130,16 +127,35 @@ TEST_F(TagStoreTest, MismatchedReplicasRejected) {
   EXPECT_THROW(retrieve_tags_direct(tpa0, tpa1, {{0}}, rng_), ParamError);
 }
 
+// Any evaluator may answer either replica: the store's bitsliced engine
+// and both paper references (naive, matrix) over the same tags are
+// bit-identical, so every pairing decodes the exact tags.
 TEST_F(TagStoreTest, AllStrategiesServeRetrieval) {
   const auto blocks = ice::testing::make_blocks(15, 64, 9);
   const auto tags = tagger_.tag_all(blocks);
-  for (auto strategy : {pir::EvalStrategy::kNaive, pir::EvalStrategy::kMatrix,
-                        pir::EvalStrategy::kBitsliced}) {
-    TagStore tpa0(params_, tags, strategy);
-    TagStore tpa1(params_, tags, strategy);
-    const auto got = retrieve_tags_direct(tpa0, tpa1, {{4, 11}}, rng_);
-    EXPECT_EQ(got[0], tags[4]);
-    EXPECT_EQ(got[1], tags[11]);
+  const TagStore store(params_, tags);
+  pir::TagDatabase db(store.tag_bits());
+  for (const auto& t : tags) db.add(t);
+  const pir::Embedding& emb = store.embedding();
+  const auto lists = pir::reference::build_plane_lists(db);
+  const std::function<pir::PirResponse(const pir::PirQuery&)> evaluators[] = {
+      [&](const pir::PirQuery& q) { return store.respond(q); },
+      [&](const pir::PirQuery& q) {
+        return pir::reference::naive_respond(db, emb, q);
+      },
+      [&](const pir::PirQuery& q) {
+        return pir::reference::matrix_respond(lists, emb, q);
+      }};
+  const pir::PirClient client(emb, store.tag_bits());
+  const std::vector<std::size_t> wanted = {4, 11};
+  for (std::size_t a = 0; a < std::size(evaluators); ++a) {
+    for (std::size_t b = 0; b < std::size(evaluators); ++b) {
+      const auto enc = client.encode(wanted, rng_);
+      const auto got = client.decode(enc.secrets, evaluators[a](enc.queries[0]),
+                                     evaluators[b](enc.queries[1]));
+      EXPECT_EQ(got[0], tags[4]) << "replicas " << a << "/" << b;
+      EXPECT_EQ(got[1], tags[11]) << "replicas " << a << "/" << b;
+    }
   }
 }
 

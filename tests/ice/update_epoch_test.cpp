@@ -44,8 +44,6 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
   pir::ShardedTagServer tpa0(keys_.pk.modulus_bits(), tags, 7);
   pir::ShardedTagServer tpa1(keys_.pk.modulus_bits(), tags, 7);
   ASSERT_EQ(tpa0.num_shards(), 4u);
-  tpa0.preprocess();  // warm plane caches so update must invalidate them
-  tpa1.preprocess();
 
   const bn::BigInt fresh = make_tags(1, 99)[0];
   for (std::size_t index : {std::size_t{0}, std::size_t{11},
@@ -67,7 +65,7 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
         retrieve_tags_sharded(tpa0, tpa1, std::vector<std::size_t>{index},
                               rng_);
     ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], fresh) << "stale plane served for index " << index;
+    EXPECT_EQ(got[0], fresh) << "stale row served for index " << index;
   }
 }
 
@@ -104,19 +102,21 @@ TEST_F(UpdateEpochTest, AppendCrossesEpochBoundaryAndIsAuditable) {
   EXPECT_EQ(got[2], tags[4]);
 }
 
-TEST_F(UpdateEpochTest, AddKeepsWarmPlanesCurrent) {
-  // Direct TagDatabase regression: a warm plane cache must reflect rows
-  // added afterwards (since PR 9 add() extends the set planes in place
-  // instead of invalidating all K of them).
+TEST_F(UpdateEpochTest, AddAfterEpochCloseKeepsRowsCurrent) {
+  // Direct TagDatabase regression: rows added after a staged update and
+  // its close land behind the merged rows, and the merged row is not
+  // disturbed by the append's reallocation.
   pir::TagDatabase db(64);
   db.add(bn::BigInt::from_limbs({0b1010}));
-  db.build_planes();
-  EXPECT_EQ(db.plane(1).size(), 1u);
+  db.update(0, bn::BigInt::from_limbs({0b0110}));
   db.add(bn::BigInt::from_limbs({0b0010}));
-  const auto plane1 = db.plane(1).materialize();
-  ASSERT_EQ(plane1.size(), 2u) << "plane cache went stale after add()";
-  EXPECT_EQ(plane1[1], 1u);
-  EXPECT_EQ(db.plane(3).size(), 1u);
+  EXPECT_EQ(db.row(0)[0], 0b1010u) << "staged row leaked on add()";
+  ASSERT_TRUE(db.close_epoch().closed);
+  db.add(bn::BigInt::from_limbs({0b1000}));
+  ASSERT_EQ(db.size(), 3u);
+  EXPECT_EQ(db.tag(0), bn::BigInt::from_limbs({0b0110}));
+  EXPECT_EQ(db.tag(1), bn::BigInt::from_limbs({0b0010}));
+  EXPECT_EQ(db.row(2)[0], 0b1000u);
 }
 
 // The TSan satellite: staged updates, appends, epoch closes and fan-out
@@ -130,7 +130,6 @@ TEST_F(UpdateEpochTest, AddKeepsWarmPlanesCurrent) {
 TEST_F(UpdateEpochTest, ConcurrentUpdatesAppendsAndAuditsAreRaceFree) {
   const auto tags = make_tags(32, 4);
   pir::ShardedTagServer tpa(keys_.pk.modulus_bits(), tags, 8);
-  tpa.preprocess();
   constexpr int kRounds = 40;
   std::atomic<bool> stop{false};
   std::atomic<int> stale_rejections{0};
@@ -189,8 +188,6 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
   const auto tags = make_tags(n, 7);
   pir::ShardedTagServer tpa0(keys_.pk.modulus_bits(), tags, 7);
   pir::ShardedTagServer tpa1(keys_.pk.modulus_bits(), tags, 7);
-  tpa0.preprocess();
-  tpa1.preprocess();
   const auto fresh = make_tags(64, 8);
 
   std::atomic<bool> stop{false};

@@ -1,10 +1,15 @@
-// Differential tests for the fused multi-query evaluation engine: for every
-// strategy, parallelism setting and batch size, PirServer::respond must be
-// bit-identical to looping the reference respond_one over the points — on
-// both servers' query distributions (tau = 0 queries phi + z, tau = 1
-// queries phi + x*z) and under every SIMD tier this CPU supports.
+// Differential tests for the fused multi-query evaluation engine:
+// PirServer::respond must be bit-identical to answering the points one at a
+// time with a per-point oracle — the naive term-by-term reference (the
+// ground truth), the paper's matrix-representation reference, or the
+// engine itself fed single-point queries (which isolates the point tiling)
+// — on both servers' query distributions (tau = 0 queries phi + z, tau = 1
+// queries phi + x*z), at every parallelism setting and batch size, for tag
+// widths inside one word and across word boundaries, and under every SIMD
+// tier this CPU supports.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "bignum/random.h"
@@ -13,23 +18,39 @@
 #include "common/simd.h"
 #include "pir/client.h"
 #include "pir/server.h"
+#include "pir_reference.h"
+#include "support/pir_compare.h"
 
 namespace ice::pir {
 namespace {
 
+// The per-point evaluator a case checks the fused batch against.
+enum class Oracle { kNaive, kMatrix, kBitsliced };
+
 struct Case {
-  EvalStrategy strategy;
+  Oracle oracle;
   std::size_t parallelism;
   std::size_t m;
 };
 
-std::string strategy_name(EvalStrategy s) {
-  switch (s) {
-    case EvalStrategy::kNaive: return "Naive";
-    case EvalStrategy::kMatrix: return "Matrix";
-    case EvalStrategy::kBitsliced: return "Bitsliced";
+std::string oracle_name(Oracle o) {
+  switch (o) {
+    case Oracle::kNaive: return "Naive";
+    case Oracle::kMatrix: return "Matrix";
+    case Oracle::kBitsliced: return "Bitsliced";
   }
   return "?";
+}
+
+// Queries each of the two TPAs actually sees for an m-point retrieval.
+PirClient::EncodedQuery encode_random(
+    const Embedding& emb, std::size_t tag_bits, std::size_t m,
+    SplitMix64& gen) {
+  bn::Rng64Adapter rng(gen);
+  const PirClient client(emb, tag_bits);
+  std::vector<std::size_t> wanted;
+  for (std::size_t l = 0; l < m; ++l) wanted.push_back(gen.below(emb.n()));
+  return client.encode(wanted, rng);
 }
 
 class PirBatchDiffTest : public ::testing::TestWithParam<Case> {
@@ -39,7 +60,7 @@ class PirBatchDiffTest : public ::testing::TestWithParam<Case> {
 };
 
 TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
-  const auto [strategy, parallelism, m] = GetParam();
+  const auto [oracle, parallelism, m] = GetParam();
   SplitMix64 gen(0xba7c + m * 31 + parallelism);
   bn::Rng64Adapter rng(gen);
   TagDatabase db(kTagBits);
@@ -47,38 +68,38 @@ TEST_P(PirBatchDiffTest, FusedRespondMatchesLoopedRespondOne) {
     db.add(bn::random_bits(rng, 1 + gen.below(kTagBits)));
   }
   const Embedding emb(kN);
-  const PirServer server(db, emb, strategy, parallelism);
-  const PirClient client(emb, kTagBits);
+  const PirServer server(db, emb, parallelism);
+  const reference::PlaneLists lists = reference::build_plane_lists(db);
 
-  // Realistic query distributions: what each of the two TPAs actually sees
-  // for an m-point retrieval.
-  std::vector<std::size_t> wanted;
-  for (std::size_t l = 0; l < m; ++l) wanted.push_back(gen.below(kN));
-  const auto enc = client.encode(wanted, rng);
-
+  const auto enc = encode_random(emb, kTagBits, m, gen);
   for (std::size_t tau = 0; tau < PirClient::kNumServers; ++tau) {
     const PirQuery& query = enc.queries[tau];
-    const PirResponse fused = server.respond(query);
-    ASSERT_EQ(fused.entries.size(), m) << "tau=" << tau;
-    for (std::size_t l = 0; l < m; ++l) {
-      const PirSingleResponse ref = server.respond_one(query.points[l]);
-      EXPECT_EQ(fused.entries[l].values, ref.values)
-          << "tau=" << tau << " point " << l;
-      EXPECT_EQ(fused.entries[l].gradients, ref.gradients)
-          << "tau=" << tau << " point " << l;
+    PirResponse want;
+    switch (oracle) {
+      case Oracle::kNaive:
+        want = reference::naive_respond(db, emb, query);
+        break;
+      case Oracle::kMatrix:
+        want = reference::matrix_respond(lists, emb, query);
+        break;
+      case Oracle::kBitsliced:
+        for (const auto& q : query.points) {
+          want.entries.push_back(server.respond(PirQuery{{q}}).entries[0]);
+        }
+        break;
     }
+    ice::testing::expect_same_response(server.respond(query), want, "tau=" + std::to_string(tau));
   }
 }
 
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
-  for (EvalStrategy s : {EvalStrategy::kNaive, EvalStrategy::kMatrix,
-                         EvalStrategy::kBitsliced}) {
+  for (Oracle o : {Oracle::kNaive, Oracle::kMatrix, Oracle::kBitsliced}) {
     for (std::size_t parallelism : {std::size_t{1}, std::size_t{0},
                                     std::size_t{4}}) {
       for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{17},
                             std::size_t{64}}) {
-        cases.push_back({s, parallelism, m});
+        cases.push_back({o, parallelism, m});
       }
     }
   }
@@ -88,10 +109,50 @@ std::vector<Case> all_cases() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PirBatchDiffTest, ::testing::ValuesIn(all_cases()),
     [](const auto& info) {
-      return strategy_name(info.param.strategy) + "p" +
+      return oracle_name(info.param.oracle) + "p" +
              std::to_string(info.param.parallelism) + "m" +
              std::to_string(info.param.m);
     });
+
+// Tag widths K = 1 (one partial word), 65 (a full word plus one bit) and
+// 1024 (the paper's |N|) over n = 150 rows (not a multiple of 64), with
+// batches just below, at and above the engine's 16-point tile, at
+// parallelism 1, 2 and hardware: fused == naive reference bit for bit.
+class PirWidthDiffTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PirWidthDiffTest, FusedMatchesNaiveReference) {
+  const std::size_t tag_bits = GetParam();
+  constexpr std::size_t kN = 150;
+  SplitMix64 gen(0x51de + tag_bits);
+  bn::Rng64Adapter rng(gen);
+  TagDatabase db(tag_bits);
+  for (std::size_t i = 0; i < kN; ++i) {
+    db.add(bn::random_bits(rng, 1 + gen.below(tag_bits)));
+  }
+  const Embedding emb(kN);
+  for (std::size_t m : {std::size_t{15}, std::size_t{16}, std::size_t{17}}) {
+    const auto enc = encode_random(emb, tag_bits, m, gen);
+    for (std::size_t tau = 0; tau < PirClient::kNumServers; ++tau) {
+      const PirQuery& query = enc.queries[tau];
+      const PirResponse want = reference::naive_respond(db, emb, query);
+      for (std::size_t parallelism : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{0}}) {
+        const PirServer server(db, emb, parallelism);
+        ice::testing::expect_same_response(server.respond(query), want,
+                    "m=" + std::to_string(m) + " tau=" +
+                        std::to_string(tau) + " p=" +
+                        std::to_string(parallelism));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, PirWidthDiffTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{65},
+                                           std::size_t{1024}),
+                         [](const auto& info) {
+                           return "k" + std::to_string(info.param);
+                         });
 
 // The fused sweep must produce the same bits no matter which XOR kernel
 // tier serves it (portable / AVX2 / AVX-512, as available).
@@ -102,7 +163,7 @@ TEST(PirBatchSimdTest, AllSupportedTiersProduceIdenticalResponses) {
   TagDatabase db(k);
   for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, k));
   const Embedding emb(n);
-  const PirServer server(db, emb, EvalStrategy::kBitsliced);
+  const PirServer server(db, emb);
   const PirClient client(emb, k);
   std::vector<std::size_t> wanted = {3, 77, 3, 119, 0};
   const auto enc = client.encode(wanted, rng);
@@ -114,14 +175,8 @@ TEST(PirBatchSimdTest, AllSupportedTiersProduceIdenticalResponses) {
        {simd::XorTier::kAvx2, simd::XorTier::kAvx512}) {
     if (!simd::tier_supported(tier)) continue;
     simd::set_active_tier(tier);
-    const PirResponse got = server.respond(enc.queries[0]);
-    ASSERT_EQ(got.entries.size(), reference.entries.size());
-    for (std::size_t l = 0; l < got.entries.size(); ++l) {
-      EXPECT_EQ(got.entries[l].values, reference.entries[l].values)
-          << simd::tier_name(tier) << " point " << l;
-      EXPECT_EQ(got.entries[l].gradients, reference.entries[l].gradients)
-          << simd::tier_name(tier) << " point " << l;
-    }
+    ice::testing::expect_same_response(server.respond(enc.queries[0]), reference,
+                simd::tier_name(tier));
   }
   simd::set_active_tier(original);
 }
@@ -138,14 +193,11 @@ TEST(PirBatchTest, AnyWrongDimensionPointRejected) {
   TagDatabase db(32);
   db.add(bn::BigInt(5));
   const Embedding emb(1);
-  for (EvalStrategy s : {EvalStrategy::kNaive, EvalStrategy::kMatrix,
-                         EvalStrategy::kBitsliced}) {
-    const PirServer server(db, emb, s);
-    PirQuery query;
-    query.points.emplace_back(emb.gamma());
-    query.points.emplace_back(emb.gamma() + 1);  // second point malformed
-    EXPECT_THROW(server.respond(query), ParamError);
-  }
+  const PirServer server(db, emb);
+  PirQuery query;
+  query.points.emplace_back(emb.gamma());
+  query.points.emplace_back(emb.gamma() + 1);  // second point malformed
+  EXPECT_THROW(server.respond(query), ParamError);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tests for the TPA tag database and its bitplane (matrix) representation.
+// Tests for the TPA tag database (rows + epoch staging) and for the
+// reference construction of its bitplane (matrix) representation M_pi.
 #include "pir/tag_database.h"
 
 #include <gtest/gtest.h>
@@ -7,7 +8,8 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "pir/client.h"
-#include "pir/server.h"
+#include "pir_reference.h"
+#include "support/pir_compare.h"
 
 namespace ice::pir {
 namespace {
@@ -47,7 +49,6 @@ TEST(TagDatabaseTest, OutOfRangeAccessThrows) {
   EXPECT_THROW((void)db.bit(1, 0), ParamError);
   EXPECT_THROW((void)db.bit(0, 16), ParamError);
   EXPECT_THROW((void)db.tag(2), ParamError);
-  EXPECT_THROW((void)db.plane(16), ParamError);
   EXPECT_THROW(db.update(1, bn::BigInt(2)), ParamError);
 }
 
@@ -56,32 +57,38 @@ TEST(TagDatabaseTest, PlanesListSetBits) {
   db.add(bn::BigInt(0b00000001));  // index 0: bit 0
   db.add(bn::BigInt(0b00000011));  // index 1: bits 0,1
   db.add(bn::BigInt(0b10000000));  // index 2: bit 7
-  EXPECT_EQ(db.plane(0).materialize(), (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(db.plane(1).materialize(), (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(db.plane(7).materialize(), (std::vector<std::uint32_t>{2}));
-  EXPECT_TRUE(db.plane(5).empty());
+  const auto lists = reference::build_plane_lists(db);
+  ASSERT_EQ(lists.size(), 8u);
+  EXPECT_EQ(lists[0], (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(lists[1], (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(lists[7], (std::vector<std::uint32_t>{2}));
+  EXPECT_TRUE(lists[5].empty());
 }
 
 // An update STAGES into the next epoch: invisible to every read surface
-// until close_epoch(), then the planes reflect it without a full rebuild.
+// (tag, bit, the rows the PIR sweep streams) until close_epoch().
 TEST(TagDatabaseTest, StagedUpdateInvisibleUntilClose) {
   TagDatabase db(8);
   db.add(bn::BigInt(0b1));
-  EXPECT_EQ(db.plane(0).size(), 1u);
+  db.add(bn::BigInt(0b100));
   db.update(0, bn::BigInt(0b10));
   // Snapshot isolation: the epoch-t read surface is unchanged.
   EXPECT_EQ(db.tag(0), bn::BigInt(0b1));
-  EXPECT_EQ(db.plane(0).materialize(), (std::vector<std::uint32_t>{0}));
-  EXPECT_TRUE(db.plane(1).empty());
+  EXPECT_TRUE(db.bit(0, 0));
+  EXPECT_FALSE(db.bit(0, 1));
+  EXPECT_EQ(db.row(0)[0], 0b1u);
+  EXPECT_EQ(db.rows_data()[1], 0b100u);
   EXPECT_EQ(db.staged_updates(), 1u);
 
   const EpochMergeStats merged = db.close_epoch();
   EXPECT_TRUE(merged.closed);
   EXPECT_EQ(merged.epoch, 1u);
   EXPECT_EQ(merged.rows_merged, 1u);
-  EXPECT_TRUE(db.plane(0).empty());
-  EXPECT_EQ(db.plane(1).materialize(), (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(db.tag(0), bn::BigInt(0b10));
+  EXPECT_FALSE(db.bit(0, 0));
+  EXPECT_TRUE(db.bit(0, 1));
+  EXPECT_EQ(db.rows_data()[0], 0b10u);
+  EXPECT_EQ(db.row(1)[0], 0b100u);  // untouched neighbour
   EXPECT_EQ(db.staged_updates(), 0u);
 }
 
@@ -125,94 +132,14 @@ TEST(TagDatabaseTest, PlanesConsistentWithBitsRandomized) {
   for (std::size_t i = 0; i < n; ++i) {
     db.add(bn::random_bits(rng, 1 + gen.below(192)));
   }
+  const auto lists = reference::build_plane_lists(db);
   for (std::size_t pi = 0; pi < 192; ++pi) {
     std::vector<std::uint32_t> expect;
     for (std::size_t i = 0; i < n; ++i) {
       if (db.bit(i, pi)) expect.push_back(static_cast<std::uint32_t>(i));
     }
-    EXPECT_EQ(db.plane(pi).materialize(), expect) << "plane " << pi;
+    EXPECT_EQ(lists[pi], expect) << "plane " << pi;
   }
-}
-
-// The PlaneView overlay (warm planes + merged epochs, no rebuild) must be
-// bit-identical to a cold full build of the same final state.
-TEST(TagDatabaseTest, PlaneOverlayMatchesFreshBuildRandomized) {
-  SplitMix64 gen(0xeb0c);
-  bn::Rng64Adapter rng(gen);
-  const std::size_t n = 60, tag_bits = 96;
-  TagDatabase db(tag_bits);
-  for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
-  (void)db.build_planes();  // warm cache before the update epochs
-
-  for (int round = 0; round < 3; ++round) {
-    for (int u = 0; u < 8; ++u) {
-      db.update(gen.below(n), bn::random_bits(rng, tag_bits));
-    }
-    const EpochMergeStats merged = db.close_epoch();
-    EXPECT_TRUE(merged.closed);
-    EXPECT_FALSE(merged.planes_rebuilt);  // far below threshold max(64, n/8)
-
-    TagDatabase fresh(tag_bits);
-    for (std::size_t i = 0; i < n; ++i) fresh.add(db.tag(i));
-    for (std::size_t pi = 0; pi < tag_bits; ++pi) {
-      EXPECT_EQ(db.plane(pi).materialize(), fresh.plane(pi).materialize())
-          << "round " << round << " plane " << pi;
-      EXPECT_EQ(db.plane(pi).size(), fresh.plane(pi).size());
-    }
-  }
-  EXPECT_EQ(db.epoch(), 3u);
-  EXPECT_EQ(db.epoch_stats().rebuilds_avoided, 3u);
-}
-
-// Once the overlay outgrows max(64, n/8) dirty rows, a close pays one full
-// rebuild and the overlay resets.
-TEST(TagDatabaseTest, ThresholdTriggersFullPlaneRebuild) {
-  SplitMix64 gen(0x7ead);
-  bn::Rng64Adapter rng(gen);
-  const std::size_t n = 80, tag_bits = 32;  // threshold = max(64, 10) = 64
-  TagDatabase db(tag_bits);
-  for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
-  (void)db.build_planes();
-
-  for (std::size_t i = 0; i < 65; ++i) {  // 65 distinct rows > 64
-    db.update(i, bn::random_bits(rng, tag_bits));
-  }
-  const EpochMergeStats merged = db.close_epoch();
-  EXPECT_TRUE(merged.planes_rebuilt);
-  EXPECT_EQ(db.epoch_stats().plane_rebuilds, 1u);
-  EXPECT_EQ(db.epoch_stats().dirty_rows, 0u);  // overlay cleared
-  for (std::size_t pi = 0; pi < tag_bits; ++pi) {
-    std::vector<std::uint32_t> expect;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (db.bit(i, pi)) expect.push_back(static_cast<std::uint32_t>(i));
-    }
-    EXPECT_EQ(db.plane(pi).materialize(), expect) << "plane " << pi;
-  }
-}
-
-// add() keeps a warm plane cache warm: the new tail index is appended to
-// exactly the planes whose bit is set, without touching the overlay.
-TEST(TagDatabaseTest, AddExtendsWarmPlanesInPlace) {
-  TagDatabase db(8);
-  db.add(bn::BigInt(0b1));
-  (void)db.build_planes();
-  db.add(bn::BigInt(0b101));
-  EXPECT_EQ(db.plane(0).materialize(), (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(db.plane(2).materialize(), (std::vector<std::uint32_t>{1}));
-  EXPECT_EQ(db.epoch_stats().dirty_rows, 0u);
-}
-
-// The pre-epoch baseline still works: a direct write drops the whole plane
-// cache and the next plane() pays a cold rebuild of the new state.
-TEST(TagDatabaseTest, UpdateInPlaceInvalidatesPlanes) {
-  TagDatabase db(8);
-  db.add(bn::BigInt(0b1));
-  EXPECT_EQ(db.plane(0).size(), 1u);
-  db.update_in_place(0, bn::BigInt(0b10));
-  EXPECT_EQ(db.tag(0), bn::BigInt(0b10));  // immediate, no epoch
-  EXPECT_TRUE(db.plane(0).empty());
-  EXPECT_EQ(db.plane(1).materialize(), (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(db.epoch(), 0u);
 }
 
 TEST(TagDatabaseTest, RowWordsMatchLimbs) {
@@ -224,44 +151,57 @@ TEST(TagDatabaseTest, RowWordsMatchLimbs) {
   EXPECT_EQ(r[1], tag.limbs()[1]);
 }
 
-TEST(TagDatabaseTest, BuildPlanesReturnsTime) {
-  TagDatabase db(64);
-  for (int i = 0; i < 20; ++i) db.add(bn::BigInt(i));
-  EXPECT_GE(db.build_planes(), 0.0);
-}
-
-// End-to-end epoch semantics through the kMatrix eval path: a retrieval
-// between update() and close_epoch() still decodes the OLD tag (snapshot
-// isolation), and the retrieval after the close sees the replacement.
-TEST(TagDatabaseTest, UpdateVisibleThroughMatrixStrategyRetrieval) {
-  SplitMix64 gen(0xa11d);
+// The reference matrix evaluator over plane lists built from the readable
+// snapshot equals the term-by-term naive evaluator before any close, while
+// updates are staged but unmerged (both still answer the epoch-t rows), and
+// after each of several closes — and a retrieval decodes the old tag until
+// the close, the replacement after it.
+TEST(TagDatabaseTest, ReferenceMatrixMatchesNaiveAcrossEpochCloses) {
+  SplitMix64 gen(0xeb0c);
   bn::Rng64Adapter rng(gen);
-  const std::size_t n = 40, tag_bits = 72;
+  const std::size_t n = 60, tag_bits = 96;
   TagDatabase db(tag_bits);
   for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, tag_bits));
   const Embedding emb(n);
-  const PirServer server(db, emb, EvalStrategy::kMatrix);
   const PirClient client(emb, tag_bits);
 
-  const std::size_t target = 23;
+  const auto check_agree = [&](const char* when, int round) {
+    const auto lists = reference::build_plane_lists(db);
+    std::vector<std::size_t> wanted = {gen.below(n), gen.below(n)};
+    const auto enc = client.encode(wanted, rng);
+    for (const PirQuery& query : enc.queries) {
+      ice::testing::expect_same_response(
+          reference::matrix_respond(lists, emb, query),
+          reference::naive_respond(db, emb, query),
+          when + (" round " + std::to_string(round)));
+    }
+  };
   const auto retrieve = [&](std::size_t idx) {
+    const auto lists = reference::build_plane_lists(db);
     std::vector<std::size_t> wanted = {idx};
     const auto enc = client.encode(wanted, rng);
-    return client.decode(enc.secrets, server.respond(enc.queries[0]),
-                         server.respond(enc.queries[1]))[0];
+    return client.decode(
+        enc.secrets, reference::matrix_respond(lists, emb, enc.queries[0]),
+        reference::matrix_respond(lists, emb, enc.queries[1]))[0];
   };
 
-  // Force the lazy plane build with a pre-update retrieval.
-  EXPECT_EQ(retrieve(target), db.tag(target));
-
-  const bn::BigInt before = db.tag(target);
-  const bn::BigInt replacement = bn::random_bits(rng, tag_bits);
-  db.update(target, replacement);
-  EXPECT_EQ(retrieve(target), before);  // staged: the snapshot still rules
-  ASSERT_TRUE(db.close_epoch().closed);
-  EXPECT_EQ(retrieve(target), replacement);
-  // Neighbours are untouched.
-  EXPECT_EQ(retrieve(target - 1), db.tag(target - 1));
+  check_agree("initial", 0);
+  for (int round = 1; round <= 3; ++round) {
+    const std::size_t target = gen.below(n);
+    const bn::BigInt before = db.tag(target);
+    const bn::BigInt replacement = bn::random_bits(rng, tag_bits);
+    db.update(target, replacement);
+    for (int u = 0; u < 7; ++u) {
+      const std::size_t other = gen.below(n);
+      if (other != target) db.update(other, bn::random_bits(rng, tag_bits));
+    }
+    check_agree("staged", round);
+    EXPECT_EQ(retrieve(target), before) << "staged row leaked";
+    ASSERT_TRUE(db.close_epoch().closed);
+    check_agree("closed", round);
+    EXPECT_EQ(retrieve(target), replacement) << "round " << round;
+  }
+  EXPECT_EQ(db.epoch(), 3u);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 # basic+batch stress over shared services (SessionStressTest at parallelism
 # 1/4/hardware, SessionCollisionTest.RacingStartAuditsOneWinner), the
 # cross-service smoke under both channel families (stress_bench_sessions),
-# and the sharded audit fan-out: per-shard content locks vs. the structural
-# epoch protocol (UpdateEpochTest.ConcurrentUpdatesAppendsAndAuditsAreRaceFree,
+# and the sharded audit fan-out: staged updates under the shared structure
+# lock vs. the structural epoch protocol (UpdateEpochTest.ConcurrentUpdatesAppendsAndAuditsAreRaceFree,
 # ShardServiceTest.ConcurrentUpdatesAndShardedRetrievals) plus the
 # cross-shard differential suite in shard_audit_test and smoke_bench_shards.
 # The PR 9 epoch engine adds the snapshot-isolation storm targets: staged
