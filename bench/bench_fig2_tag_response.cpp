@@ -9,8 +9,8 @@
 
 #include <thread>
 
-#include "ice/tag_store.h"
 #include "pir/client.h"
+#include "pir/server.h"
 #include "pir_reference.h"
 
 namespace {
@@ -30,9 +30,13 @@ pir::PirQuery make_query(const pir::Embedding& emb, std::size_t s_j,
   return client.encode(wanted, rng).queries[0];
 }
 
-double store_response_seconds(const proto::TagStore& store,
-                              const pir::PirQuery& query, int reps) {
-  return time_median(reps, [&] { (void)store.respond(query); });
+/// The production engine a TPA runs per shard, at `parallelism` workers
+/// (0 = hardware threads).
+double bitsliced_seconds(const pir::TagDatabase& db, const pir::Embedding& emb,
+                         const pir::PirQuery& query, std::size_t parallelism,
+                         int reps) {
+  const pir::PirServer server(db, emb, parallelism);
+  return time_median(reps, [&] { (void)server.respond(query); });
 }
 
 void run_sweep(const char* label, std::size_t n,
@@ -43,10 +47,7 @@ void run_sweep(const char* label, std::size_t n,
   for (std::size_t v : sizes) {
     const std::size_t cur_n = sweep_n ? v : n;
     const std::size_t s_j = sweep_n ? 5 : v;
-    proto::ProtocolParams params;
-    params.modulus_bits = kTagBits;
     const auto tags = synthetic_tags(cur_n, kTagBits, 7 + v);
-    const proto::TagStore bits(params, tags);
     pir::TagDatabase db(kTagBits);
     for (const auto& t : tags) db.add(t);
     const pir::Embedding emb(cur_n);
@@ -57,7 +58,7 @@ void run_sweep(const char* label, std::size_t n,
         1, [&] { (void)pir::reference::naive_respond(db, emb, query); });
     const double t_matrix = time_median(
         3, [&] { (void)pir::reference::matrix_respond(lists, emb, query); });
-    const double t_bits = store_response_seconds(bits, query, 3);
+    const double t_bits = bitsliced_seconds(db, emb, query, 0, 3);
     std::printf("%-8zu %-8s %14.2f %14.2f %14.3f %8.1fx\n", v, "",
                 t_naive * 1e3, t_matrix * 1e3, t_bits * 1e3,
                 t_naive / t_matrix);
@@ -77,6 +78,8 @@ void run_thread_sweep() {
   constexpr std::size_t kN = 150;
   constexpr std::size_t kSj = 5;
   const auto tags = synthetic_tags(kN, kTagBits, 77);
+  pir::TagDatabase db(kTagBits);
+  for (const auto& t : tags) db.add(t);
   const pir::Embedding emb(kN);
   const pir::PirQuery query = make_query(emb, kSj, 31);
 
@@ -85,11 +88,7 @@ void run_thread_sweep() {
   std::printf("%-8s %14s\n", "threads", "bitsliced(ms)");
   std::vector<double> bits_s;
   for (std::size_t t : threads) {
-    proto::ProtocolParams params;
-    params.modulus_bits = kTagBits;
-    params.parallelism = t;
-    const proto::TagStore bits(params, tags);
-    bits_s.push_back(store_response_seconds(bits, query, 3));
+    bits_s.push_back(bitsliced_seconds(db, emb, query, t, 3));
     std::printf("%-8zu %14.3f\n", t, bits_s.back() * 1e3);
   }
 

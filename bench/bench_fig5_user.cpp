@@ -9,8 +9,8 @@
 #include "support.h"
 
 #include "ice/protocol.h"
+#include "ice/shard_audit.h"
 #include "ice/tag_store.h"
-#include "pir/client.h"
 
 namespace {
 
@@ -32,18 +32,20 @@ UserCost measure(std::size_t n, std::size_t s_j, std::uint64_t seed) {
   const auto tags = synthetic_tags(n, kTagBits, seed);
   const proto::TagStore tpa0(params, tags);
   const proto::TagStore tpa1(params, tags);
-  const pir::PirClient client(tpa0.embedding(), kTagBits);
+  const proto::ShardPlanner planner(tpa0.shard_map(), kTagBits);
   std::vector<std::size_t> wanted;
   for (std::size_t l = 0; l < s_j; ++l) wanted.push_back(gen.below(n));
 
   UserCost cost{};
-  // Tag query: encode, then decode pre-computed responses.
-  const auto enc = client.encode(wanted, rng);
-  const auto r0 = tpa0.respond(enc.queries[0]);
-  const auto r1 = tpa1.respond(enc.queries[1]);
+  // Tag query: plan (encode), then merge and decode pre-computed responses.
+  const proto::ShardPlan plan = planner.plan(wanted, rng);
+  pir::ShardedPirResponse r0;
+  pir::ShardedPirResponse r1;
+  tpa0.respond_sharded(plan.queries[0], r0);
+  tpa1.respond_sharded(plan.queries[1], r1);
   cost.query_ms = 1e3 * time_median(3, [&] {
-    auto enc2 = client.encode(wanted, rng);
-    (void)client.decode(enc.secrets, r0, r1);
+    auto plan2 = planner.plan(wanted, rng);
+    (void)planner.merge_decode(plan, r0, r1);
   });
 
   // Verification work on the user: s~ and T~_k = T_k^{s~}.

@@ -19,8 +19,10 @@
 //                the sharded build overlaps them. (CPU work still contends
 //                for real cores, so multi-core hosts additionally overlap
 //                compute — the speedups below are a floor.)
-//   tcp        — the real loopback transport, thread-per-connection, no
+//   tcp        — the real loopback transport through the epoll reactor, no
 //                injected latency; reported as measured.
+//
+// A third arm scales K logical sessions to 10,000 on the reactor (ScaleArm).
 //
 // Writes BENCH_sessions.json. `--smoke` shrinks everything to seconds and
 // skips the JSON (this is the ctest `stress` label entry).
@@ -284,10 +286,8 @@ class TcpArm {
 
 /// Sleeps a modeled per-request service time before delegating. The scale
 /// sweep injects this on every server so the transport topology — not raw
-/// handler CPU — dominates: a blocking server parks its whole connection
-/// thread for the sleep (serializing pipelined requests on shared
-/// connections), while the reactor overlaps the sleeps across its worker
-/// pool.
+/// handler CPU — dominates: the reactor overlaps the sleeps of pipelined
+/// requests on shared connections across its worker pool.
 class ServiceDelay final : public net::RpcHandler {
  public:
   ServiceDelay(net::RpcHandler& inner, double seconds)
@@ -306,44 +306,37 @@ class ServiceDelay final : public net::RpcHandler {
 };
 
 /// Fleet-scale arm: K logical sessions multiplexed over a bounded lane pool
-/// of client threads, comparing the thread-per-connection blocking server
-/// against the epoll reactor on one shared deployment. In blocking mode
-/// every lane owns a private channel triple (the classic
-/// one-connection-per-client topology); in reactor mode lanes share a small
-/// pool of pipelined channel triples, so 10,000 sessions ride on a few
-/// hundred sockets. Every session is a live UserClient with an attached
-/// file for the whole measurement.
+/// of client threads against one shared deployment served by the epoll
+/// reactor. Lanes share a small pool of pipelined channel triples, so
+/// 10,000 sessions ride on a few hundred sockets. Every session is a live
+/// UserClient with an attached file for the whole measurement.
 class ScaleArm {
  public:
   /// Client threads actually driving audits; sessions beyond this interleave
   /// round-major so all of them stay active across the run. Bounded so the
   /// 10k-session point respects fd/thread limits on small hosts.
   static constexpr std::size_t kMaxLanes = 256;
-  /// Channel triples shared by the reactor-mode lanes.
+  /// Channel triples shared by the lanes.
   static constexpr std::size_t kSharedTriples = 64;
 
-  ScaleArm(bool use_reactor, const Cfg& cfg)
-      : use_reactor_(use_reactor),
-        cfg_(cfg),
+  explicit ScaleArm(const Cfg& cfg)
+      : cfg_(cfg),
         params_(Arm::make_params(cfg)),
         keys_(bench_keypair(cfg.modulus_bits)),
         csp_(mec::BlockStore::synthetic(cfg.n_blocks, kBlockBytes, 7)),
         csp_wrap_(csp_, cfg.one_way_latency_s),
         tpa0_wrap_(tpa0_, cfg.one_way_latency_s),
         tpa1_wrap_(tpa1_, cfg.one_way_latency_s) {
-    net::TcpServerOptions options;
-    options.use_reactor = use_reactor;
-    if (use_reactor) {
-      // The TPA handler parks a worker across its nested edge-challenge
-      // call, so provision the base pool for a full lane fleet in flight
-      // and let deep pipelines through the shared connections.
-      options.limits.base_workers = kMaxLanes + 32;
-      options.limits.max_workers = 4 * kMaxLanes;
-      options.limits.max_pipeline = 2 * kMaxLanes;
-    }
-    csp_srv_ = std::make_unique<net::TcpServer>(csp_wrap_, 0, options);
-    tpa0_srv_ = std::make_unique<net::TcpServer>(tpa0_wrap_, 0, options);
-    tpa1_srv_ = std::make_unique<net::TcpServer>(tpa1_wrap_, 0, options);
+    // The TPA handler parks a worker across its nested edge-challenge
+    // call, so provision the base pool for a full lane fleet in flight and
+    // let deep pipelines through the shared connections.
+    net::ReactorLimits limits;
+    limits.base_workers = kMaxLanes + 32;
+    limits.max_workers = 4 * kMaxLanes;
+    limits.max_pipeline = 2 * kMaxLanes;
+    csp_srv_ = std::make_unique<net::TcpServer>(csp_wrap_, 0, limits);
+    tpa0_srv_ = std::make_unique<net::TcpServer>(tpa0_wrap_, 0, limits);
+    tpa1_srv_ = std::make_unique<net::TcpServer>(tpa1_wrap_, 0, limits);
     edge_csp_ =
         std::make_unique<net::TcpChannel>("127.0.0.1", csp_srv_->port());
     edge_tpa_ =
@@ -353,7 +346,7 @@ class ScaleArm {
         mec::EdgeCache(cfg.n_blocks, mec::EvictionPolicy::kLru), *edge_csp_,
         edge_tpa_.get());
     edge_wrap_ = std::make_unique<ServiceDelay>(*edge_, cfg.one_way_latency_s);
-    edge_srv_ = std::make_unique<net::TcpServer>(*edge_wrap_, 0, options);
+    edge_srv_ = std::make_unique<net::TcpServer>(*edge_wrap_, 0, limits);
     tpa_edge_ =
         std::make_unique<net::TcpChannel>("127.0.0.1", edge_srv_->port());
     tpa0_.register_edge(0, *tpa_edge_);
@@ -375,8 +368,7 @@ class ScaleArm {
 
   double run(std::size_t sessions, int audits_per_session) {
     const std::size_t lanes = std::min(sessions, kMaxLanes);
-    const std::size_t triples =
-        use_reactor_ ? std::min(sessions, kSharedTriples) : lanes;
+    const std::size_t triples = std::min(sessions, kSharedTriples);
     struct Triple {
       std::unique_ptr<net::TcpChannel> tpa0, tpa1, edge;
     };
@@ -435,7 +427,6 @@ class ScaleArm {
   }
 
  private:
-  bool use_reactor_;
   Cfg cfg_;
   proto::ProtocolParams params_;
   proto::KeyPair keys_;
@@ -467,16 +458,14 @@ int scale_audits(std::size_t sessions) {
   return 1;
 }
 
-void scale_sweep(bool use_reactor, const Cfg& cfg,
-                 const std::vector<std::size_t>& counts,
+void scale_sweep(const Cfg& cfg, const std::vector<std::size_t>& counts,
                  std::vector<double>& out) {
-  const char* mode = use_reactor ? "reactor" : "blocking";
   for (const std::size_t k : counts) {
     // Fresh deployment per point so session tables and caches start equal.
-    ScaleArm arm(use_reactor, cfg);
+    ScaleArm arm(cfg);
     const double thr = arm.run(k, scale_audits(k));
     out.push_back(thr);
-    std::printf("scale      K=%-5zu %-8s %10.2f audits/s\n", k, mode, thr);
+    std::printf("scale      K=%-5zu %10.2f audits/s\n", k, thr);
     std::fflush(stdout);
   }
 }
@@ -547,44 +536,26 @@ int main(int argc, char** argv) {
   std::printf("\nin-process speedup at K=%zu: %.2fx\n",
               cfg.session_counts.back(), last_speedup);
 
-  // Scale sweep: thread-per-connection blocking baseline vs the epoll
-  // reactor. Lighter crypto than the lock-scope sweep — the transport
-  // plane, not bignum arithmetic, is what this arm measures.
+  // Scale sweep on the epoll reactor. Lighter crypto than the lock-scope
+  // sweep — the transport plane, not bignum arithmetic, is what this arm
+  // measures.
   Cfg scale_cfg = cfg;
-  std::vector<std::size_t> blocking_counts;
   std::vector<std::size_t> reactor_counts;
   if (smoke) {
-    blocking_counts = {2};
     reactor_counts = {2, 4};
   } else {
     scale_cfg.modulus_bits = 256;
     scale_cfg.n_blocks = 16;
-    blocking_counts = {100, 300, 1000};
     reactor_counts = {100, 300, 1000, 3000, 10000};
   }
-  print_header("session scale: thread-per-connection vs epoll reactor");
+  print_header("session scale: epoll reactor");
   std::printf("modulus %zu bits, %zu blocks, %.1f ms modeled service time, "
-              "lanes <= %zu, reactor shares %zu channel triples\n",
+              "lanes <= %zu sharing %zu channel triples\n",
               scale_cfg.modulus_bits, scale_cfg.n_blocks,
               scale_cfg.one_way_latency_s * 1e3, ScaleArm::kMaxLanes,
               ScaleArm::kSharedTriples);
-  std::vector<double> scale_blocking, scale_reactor;
-  scale_sweep(/*use_reactor=*/false, scale_cfg, blocking_counts,
-              scale_blocking);
-  scale_sweep(/*use_reactor=*/true, scale_cfg, reactor_counts, scale_reactor);
-
-  const double blocking_peak =
-      *std::max_element(scale_blocking.begin(), scale_blocking.end());
-  double reactor_at_scale = 0;
-  for (std::size_t i = 0; i < reactor_counts.size(); ++i) {
-    if (reactor_counts[i] >= 1000 || smoke) {
-      reactor_at_scale = std::max(reactor_at_scale, scale_reactor[i]);
-    }
-  }
-  std::printf("\nblocking saturation %.2f audits/s, reactor at scale %.2f "
-              "audits/s (%.2fx)\n",
-              blocking_peak, reactor_at_scale,
-              reactor_at_scale / blocking_peak);
+  std::vector<double> scale_reactor;
+  scale_sweep(scale_cfg, reactor_counts, scale_reactor);
 
   if (!smoke) {
     std::ofstream out("BENCH_sessions.json", std::ios::trunc);
@@ -606,10 +577,6 @@ int main(int argc, char** argv) {
         << ",\n"
         << "  \"scale_modulus_bits\": " << scale_cfg.modulus_bits << ",\n"
         << "  \"scale_lanes\": " << ScaleArm::kMaxLanes << ",\n"
-        << "  \"scale_blocking_sessions\": " << json_array(blocking_counts)
-        << ",\n"
-        << "  \"scale_blocking_audits_per_s\": " << json_array(scale_blocking)
-        << ",\n"
         << "  \"scale_reactor_sessions\": " << json_array(reactor_counts)
         << ",\n"
         << "  \"scale_reactor_audits_per_s\": " << json_array(scale_reactor)

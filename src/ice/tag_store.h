@@ -9,9 +9,8 @@
 // Since PR 7 the store is range-sharded (pir/sharded_server.h): with
 // `params.shard_budget` > 0 the tag space is partitioned into contiguous
 // shards, each an independent TPASetup instance, and queries fan out to the
-// shards they touch. `shard_budget` = 0 keeps the paper's monolithic layout;
-// the legacy single-shard surface (`embedding()`, `respond()`) remains for
-// that case and throws on a sharded store.
+// shards they touch. `shard_budget` = 0 keeps the paper's monolithic layout
+// as a store of exactly one shard, queried through the same sharded methods.
 //
 // Since PR 9 the store runs the epoch engine (DESIGN.md §15): `update()`
 // stages into the next epoch, `close_epoch()` merges, and audit sessions
@@ -62,16 +61,6 @@ class TagStore {
   [[nodiscard]] std::uint64_t epoch() const { return server_.epoch(); }
   [[nodiscard]] pir::ShardMap shard_map() const {
     return server_.map_snapshot();
-  }
-
-  /// Legacy monolithic surface; valid only while num_shards() == 1
-  /// (throws ParamError otherwise, which the RPC layer surfaces as
-  /// kInvalidArgument — sharded deployments use the sharded methods).
-  [[nodiscard]] const pir::Embedding& embedding() const {
-    return server_.single_embedding();
-  }
-  [[nodiscard]] pir::PirResponse respond(const pir::PirQuery& query) const {
-    return server_.respond_single(query);
   }
 
   /// Plain (non-private) tag read; used by trusted-path tests and by the

@@ -29,7 +29,6 @@ TpaService::TpaService(pir::EvalStrategy, std::size_t parallelism,
   };
   dispatch_.on(kTpaSetKey, "set_key", bind(&TpaService::on_set_key));
   dispatch_.on(kTpaStoreTags, "store_tags", bind(&TpaService::on_store_tags));
-  dispatch_.on(kTpaTagQuery, "tag_query", bind(&TpaService::on_tag_query));
   dispatch_.on(kTpaStartAudit, "start_audit",
                bind(&TpaService::on_start_audit));
   dispatch_.on(kTpaSubmitRepacked, "submit_repacked",
@@ -132,17 +131,6 @@ void TpaService::on_store_tags(net::Reader& r, net::Writer&) {
   auto store = std::make_unique<TagStore>(params, std::move(tags));
   std::unique_lock lock(store_mu_);
   store_ = std::move(store);
-}
-
-void TpaService::on_tag_query(net::Reader& r, net::Writer& w) {
-  const pir::PirQuery query = read_pir_query(r);
-  // Concurrent queries share the store under the shared lock; respond() is
-  // const.
-  std::shared_lock lock(store_mu_);
-  if (store_ == nullptr) {
-    throw ServiceError(Status::kFailedPrecondition, "no tags stored");
-  }
-  write_pir_response(w, store_->respond(query));
 }
 
 void TpaService::on_start_audit(net::Reader& r, net::Writer&) {
@@ -461,14 +449,6 @@ void TpaClient::store_tags(const std::vector<bn::BigInt>& tags) const {
   write_bigint_list(w, tags);
   const net::PooledBytes raw = net::call_pooled(*channel_, kTpaStoreTags, std::move(w));
   unwrap(raw);
-}
-
-pir::PirResponse TpaClient::tag_query(const pir::PirQuery& query) const {
-  net::Writer w;
-  write_pir_query(w, query);
-  const net::PooledBytes raw = net::call_pooled(*channel_, kTpaTagQuery, std::move(w));
-  net::Reader r = unwrap(raw);
-  return read_pir_response(r);
 }
 
 void TpaClient::start_audit(std::uint32_t edge_id,

@@ -99,7 +99,6 @@ class TpaService final : public net::RpcHandler {
  private:
   void on_set_key(net::Reader& r, net::Writer& w);
   void on_store_tags(net::Reader& r, net::Writer& w);
-  void on_tag_query(net::Reader& r, net::Writer& w);
   void on_start_audit(net::Reader& r, net::Writer& w);
   void on_submit_repacked(net::Reader& r, net::Writer& w);
   void on_batch_begin(net::Reader& r, net::Writer& w);
@@ -125,8 +124,9 @@ class TpaService final : public net::RpcHandler {
   std::optional<PublicKey> pk_;
   std::map<std::uint32_t, net::RpcChannel*> edges_;
 
-  // Tag store: replaced wholesale by store_tags (built OUTSIDE the lock,
-  // then swapped in), queried shared by tag_query.
+  // Tag store: replaced wholesale by store_tags and set_key (built OUTSIDE
+  // the lock, then swapped in under it exclusively); every other handler
+  // holds it shared, and the store synchronizes its own contents.
   mutable std::shared_mutex store_mu_;
   std::unique_ptr<TagStore> store_;
 
@@ -152,7 +152,6 @@ class TpaClient {
 
   void set_key(const PublicKey& pk, const ProtocolParams& params) const;
   void store_tags(const std::vector<bn::BigInt>& tags) const;
-  [[nodiscard]] pir::PirResponse tag_query(const pir::PirQuery& query) const;
   /// Starts an ICE-basic audit of `edge_id` under the user-chosen session
   /// nonce (the edge holds the blinding s~ under the same id). The TPA
   /// challenges the edge synchronously and parks the proof. A nonce that

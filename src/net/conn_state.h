@@ -10,7 +10,7 @@
 // single-threaded — which is what makes split, stalled, truncated and
 // pipelined frames testable without timing races.
 //
-// Wire format (unchanged from the blocking path): a request is
+// Wire format: a request is
 // [u32 frame_len][u16 method][payload] with frame_len covering method +
 // payload; a response is [u32 frame_len][payload]. Requests may be
 // pipelined back-to-back on one connection; responses are always emitted in
@@ -38,8 +38,8 @@ namespace ice::net {
 /// defaults serve the test/bench topologies; production deployments should
 /// set max_connections explicitly.
 struct ReactorLimits {
-  /// Largest accepted frame length (method id + payload), matching the
-  /// legacy blocking path's sanity cap.
+  /// Largest accepted frame length (method id + payload); the same 256 MiB
+  /// sanity cap TcpChannel applies to responses.
   std::uint32_t max_frame = 256u << 20;
   /// Requests parsed but not yet fully answered on one connection before
   /// the reactor stops reading from it (the pipelining window).
@@ -80,8 +80,7 @@ class ConnState {
   /// violation (undersized or oversized frame length) — the connection is
   /// then broken(): no further bytes are accepted, but requests parsed
   /// before the violation stay pending so their responses can still be
-  /// delivered, exactly like the blocking path which answers every complete
-  /// frame it read before hitting the bad length.
+  /// delivered: every complete frame read before the bad length is answered.
   bool feed(BytesView chunk);
 
   /// True once feed() hit a framing violation.

@@ -263,8 +263,7 @@ void Reactor::on_readable(const std::shared_ptr<Conn>& conn,
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      // Hard socket error: responses are undeliverable, drop the client
-      // (the blocking path did the same when recv failed).
+      // Hard socket error: responses are undeliverable, drop the client.
       conn->dead = true;
       return;
     }
@@ -439,7 +438,7 @@ void Reactor::worker_loop() {
     try {
       response = handler_->handle(task.req.method, task.req.payload);
     } catch (const std::exception&) {
-      ok = false;  // legacy semantics: drop this client, keep serving
+      ok = false;  // drop this client, keep serving the others
     }
     // The consumed request payload refills this worker's BufferPool,
     // balancing the pooled Writer its handler response was built from.

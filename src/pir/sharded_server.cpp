@@ -251,22 +251,4 @@ void ShardedTagServer::respond_sharded_each(const ShardedPirQuery& query,
       });
 }
 
-const Embedding& ShardedTagServer::single_embedding() const {
-  std::shared_lock lock(structure_mu_);
-  if (shards_.size() != 1) {
-    throw ParamError(
-        "single_embedding: monolithic surface requires exactly one shard");
-  }
-  return shards_[0]->embedding;
-}
-
-PirResponse ShardedTagServer::respond_single(const PirQuery& query) const {
-  std::shared_lock structure(structure_mu_);
-  if (shards_.size() != 1) {
-    throw ParamError(
-        "respond_single: monolithic surface requires exactly one shard");
-  }
-  return shards_[0]->server.respond(query);
-}
-
 }  // namespace ice::pir

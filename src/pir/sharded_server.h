@@ -135,13 +135,6 @@ class ShardedTagServer {
   void respond_sharded_each(const ShardedPirQuery& query,
                             ShardResponseSink& sink) const;
 
-  /// Monolithic compatibility surface for the single-shard layout (the
-  /// bench/test baseline and the pre-sharding wire methods). Both throw
-  /// ParamError when num_shards() != 1. The embedding reference stays
-  /// valid until the next structural mutation.
-  [[nodiscard]] const Embedding& single_embedding() const;
-  [[nodiscard]] PirResponse respond_single(const PirQuery& query) const;
-
  private:
   /// Validates `query` against the current structure and runs
   /// eval(i, sub-query, shard) for every sub-query across the shared pool,

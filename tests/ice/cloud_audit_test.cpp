@@ -63,7 +63,9 @@ TEST(CloudAuditTest, SampleIsDistinctAndInRange) {
   const auto result = audit_cloud(w.user_, w.csp_channel_, 10, w.rng_);
   for (std::size_t i = 0; i < result.sampled.size(); ++i) {
     EXPECT_LT(result.sampled[i], 20u);
-    if (i > 0) EXPECT_LT(result.sampled[i - 1], result.sampled[i]);
+    if (i > 0) {
+      EXPECT_LT(result.sampled[i - 1], result.sampled[i]);
+    }
   }
 }
 

@@ -7,9 +7,12 @@
 // every service.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/rng.h"
 #include "ice/csp_service.h"
 #include "ice/edge_service.h"
+#include "ice/shard_audit.h"
 #include "ice/tpa_service.h"
 #include "ice/user_client.h"
 #include "ice/wire.h"
@@ -38,13 +41,22 @@ void expect_wellformed(const Bytes& response) {
   }
 }
 
-constexpr std::uint16_t kAllMethods[] = {
+/// Every method whose random payloads leave the stored tags intact, plus
+/// unknown ids (302 is the retired single-shard tag query).
+constexpr std::uint16_t kTagPreservingMethods[] = {
     kCspInfo,        kCspFetch,          kCspWriteBack,   kCspSetKey,
     kCspChallenge,   kEdgeRead,          kEdgeWrite,      kEdgeIndexQuery,
     kEdgeShareBlind, kEdgeChallenge,     kEdgeBatchChallenge,
     kEdgeFlush,      kEdgeSubsetProof,   kTpaSetKey,      kTpaStoreTags,
-    kTpaTagQuery,    kTpaStartAudit,     kTpaSubmitRepacked,
-    kTpaBatchBegin,  kTpaSubmitProof,    kTpaBatchFinish, 9999};
+    302,             kTpaStartAudit,     kTpaSubmitRepacked,
+    kTpaBatchBegin,  kTpaSubmitProof,    kTpaBatchFinish, kTpaShardMap,
+    kTpaShardQuery,  kTpaSplitShard,     kTpaAppendTag,   9999};
+
+/// Methods that legitimately rewrite stored tags, from payloads random
+/// bytes readily form (an index and a tag; one force byte): a garbage tag
+/// staged and merged here rightly fails the next honest audit.
+constexpr std::uint16_t kTagRewritingMethods[] = {kTpaUpdateTag,
+                                                  kTpaCloseEpoch};
 
 class FuzzWorld {
  public:
@@ -88,17 +100,28 @@ TEST(FuzzTest, RandomGarbageNeverCrashesAnyService) {
   FuzzWorld w;
   SplitMix64 rng(0xf022);
   net::RpcHandler* services[] = {&w.csp_, &w.edge_, &w.tpa0_};
+  const std::span<const std::uint16_t> lists[] = {kTagPreservingMethods,
+                                                  kTagRewritingMethods};
   for (auto* service : services) {
-    for (std::uint16_t method : kAllMethods) {
-      for (int trial = 0; trial < 25; ++trial) {
-        const Bytes junk = random_bytes(rng, 80);
-        Bytes response;
-        ASSERT_NO_THROW(response = service->handle(method, junk))
-            << "method " << method;
-        expect_wellformed(response);
+    for (const auto methods : lists) {
+      for (std::uint16_t method : methods) {
+        for (int trial = 0; trial < 25; ++trial) {
+          const Bytes junk = random_bytes(rng, 80);
+          Bytes response;
+          ASSERT_NO_THROW(response = service->handle(method, junk))
+              << "method " << method;
+          expect_wellformed(response);
+        }
       }
     }
   }
+}
+
+TEST(FuzzTest, RetiredTagQueryIsUnknownMethod) {
+  FuzzWorld w;
+  const Bytes response = w.tpa0_.handle(302, {});
+  net::Reader r(response);
+  EXPECT_EQ(r.u16(), static_cast<std::uint16_t>(net::Status::kUnknownMethod));
 }
 
 TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
@@ -134,6 +157,22 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
     audit.u64(1234);
     probes.push_back({&w.tpa0_, kTpaStartAudit, audit.take()});
   }
+  {
+    // A real 1-shard plan against the stored tags.
+    const ShardPlanner planner(TpaClient(w.user_tpa0_).shard_map(),
+                               w.keys_.pk.modulus_bits());
+    SplitMix64 gen(0xf055);
+    bn::Rng64Adapter<SplitMix64> plan_rng(gen);
+    const ShardPlan plan =
+        planner.plan(std::vector<std::size_t>{0, 5, 15}, plan_rng);
+    net::Writer query;
+    write_sharded_query(query, plan.queries[0]);
+    probes.push_back({&w.tpa0_, kTpaShardQuery, query.take()});
+    // Mutations start from a query the TPA really answers.
+    const Bytes answer = w.tpa0_.handle(kTpaShardQuery, probes.back().valid);
+    ASSERT_EQ(net::Reader(answer).u16(),
+              static_cast<std::uint16_t>(net::Status::kOk));
+  }
   for (auto& probe : probes) {
     for (int trial = 0; trial < 200; ++trial) {
       Bytes mutated = probe.valid;
@@ -154,7 +193,7 @@ TEST(FuzzTest, MutatedValidRequestsNeverCrash) {
 TEST(FuzzTest, ServicesStillFunctionalAfterFuzzing) {
   FuzzWorld w;
   SplitMix64 rng(0xf066);
-  for (std::uint16_t method : kAllMethods) {
+  for (std::uint16_t method : kTagPreservingMethods) {
     for (int trial = 0; trial < 10; ++trial) {
       (void)w.csp_.handle(method, random_bytes(rng, 40));
       (void)w.edge_.handle(method, random_bytes(rng, 40));

@@ -12,9 +12,9 @@
 #include "common/rng.h"
 #include "ice/batch.h"
 #include "ice/protocol.h"
+#include "ice/shard_audit.h"
 #include "ice/tag.h"
 #include "ice/tag_store.h"
-#include "pir/client.h"
 #include "pir_reference.h"
 #include "support/ice_fixtures.h"
 #include "support/pir_compare.h"
@@ -133,35 +133,42 @@ TEST_F(ParallelDiffTest, VerifySameVerdictAtEveryThreadCount) {
   }
 }
 
-// The store's bitsliced answer at every thread count equals both paper
-// evaluators (the naive term-by-term reference and the matrix
-// representation) over the same tags, bit for bit.
+// The store's bitsliced answer to a 1-shard plan at every thread count
+// equals both paper evaluators (the naive term-by-term reference and the
+// matrix representation) over the same tags, bit for bit.
 TEST_F(ParallelDiffTest, PirResponsesBitExactForAllStrategies) {
   constexpr std::size_t kTags = 60;
   const auto blocks = ice::testing::make_blocks(kTags, 64, 60);
   const auto tags = tagger_.tag_all(blocks);
   const std::size_t tag_bits = keys_.pk.modulus_bits();
-  const pir::Embedding emb(kTags);
-  const pir::PirClient client(emb, tag_bits);
-  // One fixed encoded query reused against every server configuration.
+  const pir::ShardMap map(kTags, 0);
+  const ShardPlanner planner(map, tag_bits);
+  // One fixed planned query reused against every server configuration.
   SplitMix64 qgen(0x61);
   bn::Rng64Adapter<SplitMix64> qrng(qgen);
-  const auto enc = client.encode(std::vector<std::size_t>{3, 17, 42}, qrng);
+  const ShardPlan plan =
+      planner.plan(std::vector<std::size_t>{3, 17, 42}, qrng);
+  const pir::ShardedPirQuery& query = plan.queries[0];
+  ASSERT_EQ(query.shards.size(), 1u);
+  const pir::ShardedPirResponse naive =
+      pir::reference::naive_respond_sharded(map, tags, tag_bits, query);
   pir::TagDatabase db(tag_bits);
   for (const auto& t : tags) db.add(t);
-  const pir::PirResponse naive =
-      pir::reference::naive_respond(db, emb, enc.queries[0]);
   const pir::PirResponse matrix = pir::reference::matrix_respond(
-      pir::reference::build_plane_lists(db), emb, enc.queries[0]);
+      pir::reference::build_plane_lists(db), pir::Embedding(kTags),
+      query.shards[0].query);
   for (std::size_t t : tested_thread_counts()) {
     ProtocolParams p = params_;
     p.modulus_bits = tag_bits;
     p.parallelism = t;
     TagStore store(p, tags);
-    ice::testing::expect_same_response(store.respond(enc.queries[0]), naive,
-                                       "threads=" + std::to_string(t));
+    pir::ShardedPirResponse got;
+    store.respond_sharded(query, got);
+    ice::testing::expect_same_sharded(got, naive,
+                                      "threads=" + std::to_string(t));
   }
-  ice::testing::expect_same_response(matrix, naive, "matrix");
+  ice::testing::expect_same_response(matrix, naive.shards[0].response,
+                                     "matrix");
 }
 
 TEST_F(ParallelDiffTest, BatchRepackAndVerifyBitExactAtEveryThreadCount) {

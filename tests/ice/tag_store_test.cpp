@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "ice/shard_audit.h"
 #include "ice/tag.h"
 #include "pir_reference.h"
 #include "support/ice_fixtures.h"
@@ -129,30 +130,42 @@ TEST_F(TagStoreTest, MismatchedReplicasRejected) {
 
 // Any evaluator may answer either replica: the store's bitsliced engine
 // and both paper references (naive, matrix) over the same tags are
-// bit-identical, so every pairing decodes the exact tags.
+// bit-identical, so every pairing decodes the exact tags from a 1-shard
+// plan.
 TEST_F(TagStoreTest, AllStrategiesServeRetrieval) {
   const auto blocks = ice::testing::make_blocks(15, 64, 9);
   const auto tags = tagger_.tag_all(blocks);
   const TagStore store(params_, tags);
+  const pir::ShardMap map = store.shard_map();
+  ASSERT_EQ(map.num_shards(), 1u);
   pir::TagDatabase db(store.tag_bits());
   for (const auto& t : tags) db.add(t);
-  const pir::Embedding& emb = store.embedding();
+  const pir::Embedding emb(tags.size());
   const auto lists = pir::reference::build_plane_lists(db);
-  const std::function<pir::PirResponse(const pir::PirQuery&)> evaluators[] = {
-      [&](const pir::PirQuery& q) { return store.respond(q); },
-      [&](const pir::PirQuery& q) {
-        return pir::reference::naive_respond(db, emb, q);
+  using Query = pir::ShardedPirQuery;
+  using Response = pir::ShardedPirResponse;
+  const std::function<Response(const Query&)> evaluators[] = {
+      [&](const Query& q) {
+        Response r;
+        store.respond_sharded(q, r);
+        return r;
       },
-      [&](const pir::PirQuery& q) {
-        return pir::reference::matrix_respond(lists, emb, q);
+      [&](const Query& q) {
+        return pir::reference::naive_respond_sharded(map, tags,
+                                                     store.tag_bits(), q);
+      },
+      [&](const Query& q) {
+        return Response{{{q.shards[0].shard,
+                          pir::reference::matrix_respond(
+                              lists, emb, q.shards[0].query)}}};
       }};
-  const pir::PirClient client(emb, store.tag_bits());
+  const ShardPlanner planner(map, store.tag_bits());
   const std::vector<std::size_t> wanted = {4, 11};
   for (std::size_t a = 0; a < std::size(evaluators); ++a) {
     for (std::size_t b = 0; b < std::size(evaluators); ++b) {
-      const auto enc = client.encode(wanted, rng_);
-      const auto got = client.decode(enc.secrets, evaluators[a](enc.queries[0]),
-                                     evaluators[b](enc.queries[1]));
+      const ShardPlan plan = planner.plan(wanted, rng_);
+      const auto got = planner.merge_decode(plan, evaluators[a](plan.queries[0]),
+                                            evaluators[b](plan.queries[1]));
       EXPECT_EQ(got[0], tags[4]) << "replicas " << a << "/" << b;
       EXPECT_EQ(got[1], tags[11]) << "replicas " << a << "/" << b;
     }

@@ -1,12 +1,13 @@
-// Differential transport test: identical fresh service deployments behind
-// the legacy blocking TcpServer and the epoll reactor, driven with scripted
-// wire corpuses (method-id sweep x payload variants, pipelined streams, the
-// shared abuse corpus). The two paths must produce byte-for-byte identical
-// response streams and identical connection fates — the reactor is a
-// drop-in replacement, not a reinterpretation of the protocol.
+// Differential transport test: a service deployment served by the epoll
+// reactor against an identically built in-process one, driven with scripted
+// wire corpuses (method-id sweep x payload variants, a pipelined stream).
+// The in-process oracle is what a server must do with one frame: hand the
+// payload to the service's own handle() and send the result back as
+// [u32 len][payload]. The reactor must produce that response stream byte
+// for byte — it is a transport, not a reinterpretation of the protocol.
+// The shared abuse corpus pins the reactor's connection fates.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "ice/wire.h"
 #include "mec/block_store.h"
 #include "mec/edge_cache.h"
+#include "net/channel.h"
 #include "net/tcp.h"
 #include "support/fake_transport.h"
 #include "support/ice_fixtures.h"
@@ -25,37 +27,66 @@ namespace {
 
 using net::testing::AbuseCase;
 using net::testing::frame_request;
+using net::testing::le32;
 using net::testing::RawTcpClient;
 using net::testing::wire_abuse_corpus;
 
-/// One CSP + edge + TPA deployment with every server in the given mode.
-/// The service state is constructed identically on both sides, and the
-/// corpus is replayed in the same order, so state evolution matches too.
-struct Deployment {
-  explicit Deployment(bool use_reactor)
-      : params(ice::testing::test_params(64)),
-        keys(ice::testing::test_keypair_256()),
-        csp(mec::BlockStore::synthetic(16, 64, 31337)),
-        options{use_reactor, {}},
-        csp_server(csp, 0, options),
-        tpa_server(tpa, 0, options),
-        csp_channel("127.0.0.1", csp_server.port()),
-        edge(0, params, keys.pk, mec::EdgeCache(8, mec::EvictionPolicy::kLru),
-             csp_channel, nullptr),
-        edge_server(edge, 0, options) {}
+/// CSP + TPA state, constructed identically for every deployment. Each
+/// corpus is replayed in the same order on both sides, so state evolution
+/// matches too.
+struct Services {
+  ProtocolParams params = ice::testing::test_params(64);
+  KeyPair keys = ice::testing::test_keypair_256();
+  CspService csp{mec::BlockStore::synthetic(16, 64, 31337)};
+  TpaService tpa;
 
-  /// The server a method id belongs to (by the wire.h numbering bands).
+  EdgeService make_edge(net::RpcChannel& csp_channel) const {
+    return EdgeService(0, params, keys.pk,
+                       mec::EdgeCache(8, mec::EvictionPolicy::kLru),
+                       csp_channel, nullptr);
+  }
+};
+
+/// The oracle: every service in-process, the edge reaching the CSP over an
+/// InMemoryChannel, frames answered by a direct handle() call.
+struct InProcess : Services {
+  InProcess() : csp_channel(csp), edge(make_edge(csp_channel)) {}
+
+  /// The service a method id belongs to (by the wire.h numbering bands).
+  net::RpcHandler& handler_for(std::uint16_t method) {
+    if (method < 200) return csp;
+    if (method < 300) return edge;
+    return tpa;
+  }
+
+  net::InMemoryChannel csp_channel;
+  EdgeService edge;
+};
+
+/// The response frame a server of `service` owes for one request frame.
+Bytes owed_frame(net::RpcHandler& service, std::uint16_t method,
+                 BytesView payload) {
+  const Bytes body = service.handle(method, payload);
+  Bytes frame = le32(static_cast<std::uint32_t>(body.size()));
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
+/// The same deployment with every service behind its own TcpServer.
+struct Served : Services {
+  Served()
+      : csp_server(csp),
+        tpa_server(tpa),
+        csp_channel("127.0.0.1", csp_server.port()),
+        edge(make_edge(csp_channel)),
+        edge_server(edge) {}
+
   net::TcpServer& server_for(std::uint16_t method) {
     if (method < 200) return csp_server;
     if (method < 300) return edge_server;
     return tpa_server;
   }
 
-  ProtocolParams params;
-  KeyPair keys;
-  CspService csp;
-  TpaService tpa;
-  net::TcpServerOptions options;
   net::TcpServer csp_server;
   net::TcpServer tpa_server;
   net::TcpChannel csp_channel;
@@ -81,14 +112,16 @@ std::vector<WireCase> scripted_corpus() {
       {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b,
        0x0c, 0x0d, 0x0e, 0x0f, 0x10},                // trailing garbage
   };
-  // Every registered method plus unknown ids inside each band.
+  // Every registered method plus unknown ids inside each band (302 is the
+  // retired single-shard tag query).
   const std::vector<std::uint16_t> methods = {
       90,  99,  kCspInfo,        kCspFetch,       kCspWriteBack,
       kCspSetKey,   kCspChallenge, 150, kEdgeRead, kEdgeWrite,
       kEdgeIndexQuery, kEdgeShareBlind, kEdgeChallenge, kEdgeBatchChallenge,
       kEdgeFlush,   kEdgeSubsetProof, 250, kTpaSetKey, kTpaStoreTags,
-      kTpaTagQuery, kTpaStartAudit, kTpaSubmitRepacked, kTpaSubmitProof,
-      kTpaBatchFinish, kTpaUpdateTag, 320,
+      302, kTpaStartAudit, kTpaSubmitRepacked, kTpaSubmitProof,
+      kTpaBatchFinish, kTpaUpdateTag, kTpaShardMap, kTpaShardQuery,
+      kTpaSplitShard, kTpaAppendTag, kTpaCloseEpoch, 320,
   };
   std::vector<WireCase> corpus;
   for (const auto method : methods) {
@@ -99,6 +132,21 @@ std::vector<WireCase> scripted_corpus() {
   return corpus;
 }
 
+/// Reads one response frame exactly as it crossed the wire, length prefix
+/// included.
+Bytes recv_frame(RawTcpClient& client) {
+  Bytes frame = client.recv_exact(4);
+  const std::uint32_t len = std::uint32_t{frame[0]} |
+                            (std::uint32_t{frame[1]} << 8) |
+                            (std::uint32_t{frame[2]} << 16) |
+                            (std::uint32_t{frame[3]} << 24);
+  if (len > 0) {
+    const Bytes body = client.recv_exact(len);
+    frame.insert(frame.end(), body.begin(), body.end());
+  }
+  return frame;
+}
+
 std::string hex(const Bytes& b) {
   std::ostringstream out;
   for (const auto byte : b) {
@@ -107,92 +155,62 @@ std::string hex(const Bytes& b) {
   return out.str();
 }
 
-/// Replays the scripted corpus against one deployment, one connection per
-/// case, and returns the transcript of response frames.
-std::vector<Bytes> replay_scripted(Deployment& d) {
-  std::vector<Bytes> transcript;
-  for (const WireCase& c : scripted_corpus()) {
-    RawTcpClient client(d.server_for(c.method).port());
-    client.send_request(c.method, c.payload);
-    transcript.push_back(client.recv_response());
-  }
-  return transcript;
-}
-
 TEST(TransportDiffTest, ScriptedCorpusMatchesByteForByte) {
-  Deployment blocking(false);
-  Deployment reactor(true);
-  const auto expected = replay_scripted(blocking);
-  const auto actual = replay_scripted(reactor);
-  ASSERT_EQ(expected.size(), actual.size());
-  const auto corpus = scripted_corpus();
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(hex(expected[i]), hex(actual[i]))
-        << "method " << corpus[i].method << " payload "
-        << hex(corpus[i].payload);
+  InProcess oracle;
+  Served served;
+  // One connection per case.
+  for (const WireCase& c : scripted_corpus()) {
+    RawTcpClient client(served.server_for(c.method).port());
+    client.send_request(c.method, c.payload);
+    const Bytes want =
+        owed_frame(oracle.handler_for(c.method), c.method, c.payload);
+    EXPECT_EQ(hex(want), hex(recv_frame(client)))
+        << "method " << c.method << " payload " << hex(c.payload);
   }
 }
 
-/// Pipelined stream of deterministic requests on a single connection.
-std::vector<Bytes> replay_pipelined(Deployment& d) {
-  Bytes stream;
+TEST(TransportDiffTest, PipelinedStreamMatchesByteForByte) {
+  // Deterministic requests back-to-back on a single connection.
   const std::vector<WireCase> cases = {
       {kCspInfo, {}}, {kCspFetch, {0x00}}, {kCspFetch, {0x05}},
       {kCspInfo, {}}, {999, {}},  // unknown method mid-pipeline
       {kCspFetch, {0x01}},
   };
+  InProcess oracle;
+  Served served;
+  Bytes stream;
   for (const WireCase& c : cases) {
     const Bytes f = frame_request(c.method, c.payload);
     stream.insert(stream.end(), f.begin(), f.end());
   }
-  RawTcpClient client(d.csp_server.port());
+  RawTcpClient client(served.csp_server.port());
   client.send(stream);
-  std::vector<Bytes> transcript;
-  transcript.reserve(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    transcript.push_back(client.recv_response());
-  }
-  return transcript;
-}
-
-TEST(TransportDiffTest, PipelinedStreamMatchesByteForByte) {
-  Deployment blocking(false);
-  Deployment reactor(true);
-  const auto expected = replay_pipelined(blocking);
-  const auto actual = replay_pipelined(reactor);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(hex(expected[i]), hex(actual[i])) << "response " << i;
+    const Bytes want =
+        owed_frame(oracle.csp, cases[i].method, cases[i].payload);
+    EXPECT_EQ(hex(want), hex(recv_frame(client)))
+        << "response " << i;
   }
 }
 
-/// The abuse corpus must produce the same responses and the same dropped
-/// connections on both paths.
-void replay_abuse(Deployment& d, const std::string& mode) {
+/// Every case of the abuse corpus answers the valid frames it carries in
+/// full (each with the oracle's bytes), then drops the connection with
+/// nothing further.
+TEST(TransportDiffTest, AbuseCorpusAnswersValidFramesThenDrops) {
+  InProcess oracle;
+  Served served;
   const Bytes valid = frame_request(kCspInfo, {});
   for (const AbuseCase& abuse : wire_abuse_corpus(valid)) {
-    SCOPED_TRACE(mode + ": " + abuse.name);
-    RawTcpClient client(d.csp_server.port());
+    SCOPED_TRACE(abuse.name);
+    RawTcpClient client(served.csp_server.port());
     client.send(abuse.stream);
     client.shutdown_write();
-    std::vector<Bytes> responses;
     for (std::size_t i = 0; i < abuse.expected_responses; ++i) {
-      responses.push_back(client.recv_response());
+      EXPECT_EQ(hex(owed_frame(oracle.csp, kCspInfo, {})),
+                hex(recv_frame(client)));
     }
-    // Any leading valid frames got real responses on both paths...
-    for (const auto& r : responses) {
-      EXPECT_GE(r.size(), net::kStatusEnvelopeBytes);
-    }
-    // ...then the violation closes the connection with nothing further.
     EXPECT_TRUE(client.eof_within()) << "connection not dropped";
   }
-}
-
-TEST(TransportDiffTest, AbuseCorpusDropsIdenticallyOnBothPaths) {
-  Deployment blocking(false);
-  Deployment reactor(true);
-  replay_abuse(blocking, "blocking");
-  replay_abuse(reactor, "reactor");
 }
 
 }  // namespace

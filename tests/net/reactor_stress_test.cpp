@@ -113,9 +113,9 @@ TEST(ReactorStressTest, ConnectionLimitChurn) {
   // every admitted call must succeed and every over-limit call must see
   // the reject envelope or a drop — never a hang.
   EchoHandler handler;
-  TcpServerOptions options;
-  options.limits.max_connections = 4;
-  TcpServer server{handler, 0, options};
+  ReactorLimits limits;
+  limits.max_connections = 4;
+  TcpServer server{handler, 0, limits};
   std::vector<std::future<int>> futs;
   for (int t = 0; t < 8; ++t) {
     futs.push_back(std::async(std::launch::async, [&server] {

@@ -62,46 +62,28 @@ TEST(LinkModelTest, InfiniteBandwidthIsLatencyOnly) {
   EXPECT_DOUBLE_EQ(m.transfer_seconds(1 << 20), 0.005);
 }
 
-/// Server-behavior tests run against both transports: the epoll reactor
-/// (param true) and the legacy blocking loop (param false). The two must be
-/// observably identical from the client side.
-class TcpTransportTest : public ::testing::TestWithParam<bool> {
- protected:
-  [[nodiscard]] TcpServerOptions options() const {
-    TcpServerOptions o;
-    o.use_reactor = GetParam();
-    return o;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Modes, TcpTransportTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "reactor" : "blocking";
-                         });
-
-TEST_P(TcpTransportTest, RoundTrip) {
+TEST(TcpTransportTest, RoundTrip) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   const Bytes resp = ch.call(42, Bytes{9, 8, 7});
   EXPECT_EQ(resp, (Bytes{42, 9, 8, 7}));
   EXPECT_EQ(handler.calls.load(), 1);
 }
 
-TEST_P(TcpTransportTest, EmptyRequestAndResponse) {
+TEST(TcpTransportTest, EmptyRequestAndResponse) {
   class NullHandler : public RpcHandler {
    public:
     Bytes handle(std::uint16_t, BytesView) override { return {}; }
   } handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   EXPECT_TRUE(ch.call(0, {}).empty());
 }
 
-TEST_P(TcpTransportTest, LargePayload) {
+TEST(TcpTransportTest, LargePayload) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   Bytes big(1 << 20);
   for (std::size_t i = 0; i < big.size(); ++i) {
@@ -112,9 +94,9 @@ TEST_P(TcpTransportTest, LargePayload) {
   EXPECT_TRUE(std::equal(big.begin(), big.end(), resp.begin() + 1));
 }
 
-TEST_P(TcpTransportTest, SequentialCallsOnOneConnection) {
+TEST(TcpTransportTest, SequentialCallsOnOneConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   for (std::uint16_t m = 0; m < 50; ++m) {
     const Bytes resp = ch.call(m, Bytes{static_cast<std::uint8_t>(m)});
@@ -123,13 +105,12 @@ TEST_P(TcpTransportTest, SequentialCallsOnOneConnection) {
   EXPECT_EQ(ch.stats().calls, 50u);
 }
 
-TEST_P(TcpTransportTest, PipelinedCallsShareOneConnection) {
+TEST(TcpTransportTest, PipelinedCallsShareOneConnection) {
   // Several threads calling through ONE channel: sends interleave on the
   // wire and each caller still gets its own response (ticket-ordered
-  // reads). The blocking server serializes execution, the reactor
-  // pipelines it; both must return correct bytes.
+  // reads) while the reactor runs the handlers concurrently.
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   std::vector<std::future<bool>> futs;
   for (int t = 0; t < 4; ++t) {
@@ -152,9 +133,9 @@ TEST_P(TcpTransportTest, PipelinedCallsShareOneConnection) {
   EXPECT_EQ(ch.stats().calls, 100u);
 }
 
-TEST_P(TcpTransportTest, ConcurrentClients) {
+TEST(TcpTransportTest, ConcurrentClients) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   std::vector<std::future<bool>> futs;
   for (int c = 0; c < 8; ++c) {
     futs.push_back(std::async(std::launch::async, [&server, c] {
@@ -171,9 +152,9 @@ TEST_P(TcpTransportTest, ConcurrentClients) {
   EXPECT_EQ(handler.calls.load(), 160);
 }
 
-TEST_P(TcpTransportTest, ByteAccountingMatchesFraming) {
+TEST(TcpTransportTest, ByteAccountingMatchesFraming) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   TcpChannel ch("127.0.0.1", server.port());
   ch.call(1, Bytes(10, 0));
   // Request frame: 4 (len) + 2 (method) + 10; response: 4 (len) + 11.
@@ -195,9 +176,9 @@ TEST(TcpTransportTest, BadAddressThrows) {
   EXPECT_THROW(TcpChannel("not-an-ip", 1), TransportError);
 }
 
-TEST_P(TcpTransportTest, CallAfterServerStopThrows) {
+TEST(TcpTransportTest, CallAfterServerStopThrows) {
   EchoHandler handler;
-  auto server = std::make_unique<TcpServer>(handler, 0, options());
+  auto server = std::make_unique<TcpServer>(handler);
   TcpChannel ch("127.0.0.1", server->port());
   EXPECT_EQ(ch.call(1, Bytes{1}).size(), 2u);
   server.reset();  // stops and joins
@@ -209,14 +190,14 @@ TEST_P(TcpTransportTest, CallAfterServerStopThrows) {
       TransportError);
 }
 
-TEST_P(TcpTransportTest, StopIsIdempotent) {
+TEST(TcpTransportTest, StopIsIdempotent) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   server.stop();
   server.stop();
 }
 
-TEST_P(TcpTransportTest, HandlerExceptionDropsConnectionOnly) {
+TEST(TcpTransportTest, HandlerExceptionDropsConnectionOnly) {
   class ThrowingHandler : public RpcHandler {
    public:
     Bytes handle(std::uint16_t method, BytesView) override {
@@ -224,7 +205,7 @@ TEST_P(TcpTransportTest, HandlerExceptionDropsConnectionOnly) {
       return Bytes{1};
     }
   } handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   {
     TcpChannel bad("127.0.0.1", server.port());
     EXPECT_THROW(
@@ -282,41 +263,25 @@ void expect_dropped_then_still_serving(TcpServer& server, const Bytes& abuse,
   EXPECT_EQ(handler.calls.load(), before + 1) << "abuse must not reach handler";
 }
 
-/// Server-side abuse runs against both transports, like TcpTransportTest.
-class TcpAbuseServerTest : public ::testing::TestWithParam<bool> {
- protected:
-  [[nodiscard]] TcpServerOptions options() const {
-    TcpServerOptions o;
-    o.use_reactor = GetParam();
-    return o;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Modes, TcpAbuseServerTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "reactor" : "blocking";
-                         });
-
-TEST_P(TcpAbuseServerTest, OversizedLengthPrefixDropsConnection) {
+TEST(TcpAbuseServerTest, OversizedLengthPrefixDropsConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   // 4 GiB frame announcement: the server must refuse to allocate and close.
   expect_dropped_then_still_serving(server, le32(0xffffffffu), handler);
 }
 
-TEST_P(TcpAbuseServerTest, UndersizedFrameDropsConnection) {
+TEST(TcpAbuseServerTest, UndersizedFrameDropsConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   // Frame length 1 cannot even hold the method id.
   Bytes abuse = le32(1);
   abuse.push_back(0x7f);
   expect_dropped_then_still_serving(server, abuse, handler);
 }
 
-TEST_P(TcpAbuseServerTest, TruncatedFrameThenCloseDropsConnection) {
+TEST(TcpAbuseServerTest, TruncatedFrameThenCloseDropsConnection) {
   EchoHandler handler;
-  TcpServer server(handler, 0, options());
+  TcpServer server(handler);
   const int before = handler.calls.load();
   {
     const int fd = raw_connect(server.port());
