@@ -65,9 +65,13 @@ void run_sweep(const char* label, std::size_t n,
   }
 }
 
-// Thread sweep: one bitsliced tag response (n = 150, |S_j| = 5) at
-// parallelism 1/2/4/hw. Tag rows shard across the pool and the responses
-// are bit-identical at every setting (tests/ice/parallel_diff_test.cpp).
+// Thread sweep: one bitsliced tag response at |S_j| = 5 and parallelism
+// 1/2/4/hw, at n = 150 (the Fig. 2 size) and at the larger n where row
+// sharding starts to pay (kMinRowsPerChunk in pir/server.cpp is read off
+// this sweep).
+// Each cell is the median of 101 responses, interleaved across thread
+// counts so host drift hits every column alike. The responses are
+// bit-identical at every setting (PirWidthDiffTest, ParallelDiffTest).
 // The naive and matrix references are single-threaded by design.
 void run_thread_sweep() {
   const std::size_t hw =
@@ -75,30 +79,53 @@ void run_thread_sweep() {
   std::vector<std::size_t> threads{1, 2, 4};
   if (hw != 1 && hw != 2 && hw != 4) threads.push_back(hw);
 
-  constexpr std::size_t kN = 150;
   constexpr std::size_t kSj = 5;
-  const auto tags = synthetic_tags(kN, kTagBits, 77);
-  pir::TagDatabase db(kTagBits);
-  for (const auto& t : tags) db.add(t);
-  const pir::Embedding emb(kN);
-  const pir::PirQuery query = make_query(emb, kSj, 31);
-
-  std::printf("\nThread sweep (n = %zu, |S_j| = %zu, hardware threads: "
-              "%zu)\n", kN, kSj, hw);
-  std::printf("%-8s %14s\n", "threads", "bitsliced(ms)");
-  std::vector<double> bits_s;
-  for (std::size_t t : threads) {
-    bits_s.push_back(bitsliced_seconds(db, emb, query, t, 3));
-    std::printf("%-8zu %14.3f\n", t, bits_s.back() * 1e3);
+  constexpr int kReps = 101;
+  const std::vector<std::size_t> ns{150, 600, 1200, 2400, 4800};
+  std::printf("\nThread sweep (|S_j| = %zu, hardware threads: %zu; median "
+              "of %d, ms)\n%-8s", kSj, hw, kReps, "n");
+  for (std::size_t t : threads) std::printf(" %9zu thr", t);
+  std::printf("\n");
+  std::vector<std::vector<double>> seconds;  // [n][thread]
+  for (std::size_t n : ns) {
+    const auto tags = synthetic_tags(n, kTagBits, 77);
+    pir::TagDatabase db(kTagBits);
+    for (const auto& t : tags) db.add(t);
+    const pir::Embedding emb(n);
+    const pir::PirQuery query = make_query(emb, kSj, 31);
+    std::vector<pir::PirServer> servers;
+    for (std::size_t t : threads) servers.emplace_back(db, emb, t);
+    std::vector<std::vector<double>> samples(threads.size());
+    pir::PirResponse out;
+    for (int r = 0; r < kReps; ++r) {
+      for (std::size_t i = 0; i < servers.size(); ++i) {
+        Stopwatch sw;
+        servers[i].respond_into(query, out);
+        samples[i].push_back(sw.seconds());
+      }
+    }
+    std::printf("%-8zu", n);
+    seconds.emplace_back();
+    for (auto& s : samples) {
+      std::sort(s.begin(), s.end());
+      seconds.back().push_back(s[s.size() / 2]);
+      std::printf(" %13.3f", seconds.back().back() * 1e3);
+    }
+    std::printf("\n");
   }
 
   std::string body;
   body += "{\"hardware_concurrency\": " + std::to_string(hw);
-  body += ", \"n\": " + std::to_string(kN);
+  body += ", \"n\": " + std::to_string(ns[0]);
   body += ", \"s_j\": " + std::to_string(kSj);
   body += ", \"threads\": " + json_array(threads);
-  body += ", \"bitsliced_seconds\": " + json_array(bits_s);
-  body += "}";
+  body += ", \"bitsliced_seconds\": " + json_array(seconds[0]);
+  body += ", \"grain_n\": " + json_array(ns);
+  body += ", \"grain_seconds\": [";
+  for (std::size_t i = 0; i < seconds.size(); ++i) {
+    body += (i ? ", " : "") + json_array(seconds[i]);
+  }
+  body += "]}";
   emit_parallel_json("fig2_tag_response", body);
 }
 

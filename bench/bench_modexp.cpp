@@ -1,8 +1,11 @@
-// Exponentiation-engine microbench: naive per-tag pow+mul vs simultaneous
-// multi-exp, generic pow vs the Lim-Lee fixed-base comb, and the end-to-end
-// protocol shapes those kernels drive (Fig. 3 TPA verification at
-// |S_j| = 10, Tab. III TagGen at n = 200). Emits BENCH_modexp.json with the
-// PR 1 baseline constants embedded so speedups are auditable offline.
+// Exponentiation-engine microbench: ns per Montgomery square and multiply
+// at 512/1024/2048 bits and the edge-proof-shaped pow (1024-bit N,
+// 16 KiB-block exponent), naive per-tag pow+mul vs simultaneous multi-exp,
+// generic pow vs the Lim-Lee fixed-base comb, and the end-to-end protocol
+// shapes those kernels drive (Fig. 3 TPA verification at |S_j| = 10,
+// Tab. III TagGen at n = 200). Emits BENCH_modexp.json with the PR 1
+// baseline constants embedded so speedups are auditable offline.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,6 +28,10 @@ namespace {
 constexpr double kPr1VerifyAt10Seconds = 1.44e-3;
 constexpr double kPr1TagGen200Seconds = 5.195;
 
+// Exponent length of the basic-proof edge proof: a 16 KiB block (131072
+// bits) times a 64-bit coefficient, summed over |S_j| = 16 blocks.
+constexpr std::size_t kProofExponentBits = 131072 + 64 + 4;
+
 // prod tags[i]^{coeffs[i]} one pow+mul at a time — the pre-engine shape.
 bn::BigInt naive_fold(const bn::Montgomery& mont,
                       const std::vector<bn::BigInt>& bases,
@@ -34,6 +41,51 @@ bn::BigInt naive_fold(const bn::Montgomery& mont,
     acc = mont.mul(acc, mont.pow(bases[i], exps[i]));
   }
   return acc;
+}
+
+struct KernelPoint {
+  double sqr_ns;
+  double mul_ns;
+};
+
+// ns per sqr_into and per mul_into on one modulus, each the best of
+// `batches` back-to-back runs of `ops` chained operations (the chain keeps
+// every call dependent on the last, as in a pow).
+KernelPoint bench_kernels(const bn::BigInt& modulus, int ops, int batches) {
+  const bn::Montgomery mont(modulus);
+  SplitMix64 gen(11);
+  bn::Rng64Adapter rng(gen);
+  bn::Montgomery::LimbVec a = mont.to_mont(bn::random_below(rng, modulus));
+  const bn::Montgomery::LimbVec b =
+      mont.to_mont(bn::random_below(rng, modulus));
+  bn::Montgomery::LimbVec scratch(mont.scratch_limbs());
+  auto best_ns = [&](auto&& op) {
+    double best = 1e30;
+    for (int r = 0; r < batches; ++r) {
+      Stopwatch sw;
+      for (int i = 0; i < ops; ++i) op();
+      best = std::min(best, sw.seconds() * 1e9 / ops);
+    }
+    return best;
+  };
+  KernelPoint point;
+  point.sqr_ns = best_ns(
+      [&] { mont.sqr_into(a.data(), a.data(), scratch.data()); });
+  point.mul_ns = best_ns(
+      [&] { mont.mul_into(a.data(), a.data(), b.data(), scratch.data()); });
+  std::printf("  |N|=%4zu  sqr_into %8.1f ns  mul_into %8.1f ns\n",
+              modulus.bit_length(), point.sqr_ns, point.mul_ns);
+  return point;
+}
+
+// A random odd modulus of exactly `bits` bits (no cached 2048-bit primes;
+// the kernels do not care whether N is an RSA modulus).
+bn::BigInt random_odd_modulus(std::size_t bits) {
+  SplitMix64 gen(bits);
+  bn::Rng64Adapter rng(gen);
+  bn::BigInt n =
+      bn::random_bits(rng, bits - 1) + (bn::BigInt(1) << (bits - 1));
+  return n.is_odd() ? n : n + bn::BigInt(1);
 }
 
 struct Sweep {
@@ -115,6 +167,33 @@ int main(int argc, char** argv) {
   using namespace ice::bench;
   const bool smoke = smoke_mode(argc, argv);
 
+  print_header("Montgomery kernels: ns per square / multiply");
+  const int kernel_ops = smoke ? 2000 : 200000;
+  const int kernel_batches = smoke ? 2 : 15;
+  const ice::proto::KeyPair keys512 = bench_keypair(512);
+  const ice::proto::KeyPair keys1024 = bench_keypair(1024);
+  const KernelPoint k512 =
+      bench_kernels(keys512.pk.n, kernel_ops, kernel_batches);
+  const KernelPoint k1024 =
+      bench_kernels(keys1024.pk.n, kernel_ops, kernel_batches);
+  const KernelPoint k2048 = bench_kernels(random_odd_modulus(2048),
+                                          kernel_ops / 4, kernel_batches);
+
+  // The edge proof's one modexp at the basic-proof shape: |N| = 1024 and an
+  // exponent of one 16 KiB block plus the coefficient/aggregation bits.
+  print_header("edge-proof pow (|N| = 1024, 131140-bit exponent)");
+  const double proof_pow_ms = [&] {
+    const auto mont = ice::bn::Montgomery::shared(keys1024.pk.n);
+    ice::SplitMix64 gen(12);
+    ice::bn::Rng64Adapter rng(gen);
+    const ice::bn::BigInt base = ice::bn::random_below(rng, keys1024.pk.n);
+    const ice::bn::BigInt e = ice::bn::random_bits(rng, kProofExponentBits);
+    ice::bn::BigInt out;
+    return time_median(smoke ? 1 : 9,
+                       [&] { mont->pow_into(out, base, e); }) * 1e3;
+  }();
+  std::printf("  pow_into: %.3f ms\n", proof_pow_ms);
+
   print_header("multi-exp vs naive pow+mul fold (80-bit coefficients)");
   const std::vector<std::size_t> ks =
       smoke ? std::vector<std::size_t>{1, 4}
@@ -133,7 +212,7 @@ int main(int argc, char** argv) {
   const CombPoint c_tag = bench_comb(1024, 81920);    // TagGen, 10 KiB block
 
   print_header("protocol shapes (1024-bit modulus)");
-  const ice::proto::KeyPair keys = bench_keypair(1024);
+  const ice::proto::KeyPair& keys = keys1024;
   ice::proto::ProtocolParams params;
   params.parallelism = 1;
   ice::SplitMix64 gen(9);
@@ -149,7 +228,17 @@ int main(int argc, char** argv) {
   std::printf("  tag_all @n=200, 10 KiB:  %.3f s  (PR1 baseline %.3f s, %.2fx)\n",
               taggen, kPr1TagGen200Seconds, kPr1TagGen200Seconds / taggen);
 
-  std::string body = "{\"ks\": " + json_array(ks) +
+  std::string body = "{\"sqr_ns\": " +
+                     json_array(std::vector<double>{k512.sqr_ns, k1024.sqr_ns,
+                                                    k2048.sqr_ns}) +
+                     ", \"mul_ns\": " +
+                     json_array(std::vector<double>{k512.mul_ns, k1024.mul_ns,
+                                                    k2048.mul_ns}) +
+                     ", \"kernel_bits\": [512, 1024, 2048]" +
+                     ", \"proof_pow_ms\": " + std::to_string(proof_pow_ms) +
+                     ", \"proof_pow_exp_bits\": " +
+                     std::to_string(kProofExponentBits) +
+                     ", \"ks\": " + json_array(ks) +
                      ", \"naive_ms_512\": " + json_array(s512.naive_ms) +
                      ", \"multi_ms_512\": " + json_array(s512.multi_ms) +
                      ", \"naive_ms_1024\": " + json_array(s1024.naive_ms) +

@@ -42,122 +42,235 @@ void sub_mod(Limb* out, const Limb* t, const Limb* n, std::size_t k) {
   }
 }
 
-// Sliding-window width for a nbits-long exponent: minimizes
-// 2^{w-1} table products + nbits/(w+1) window products.
-unsigned window_bits_for(std::size_t nbits) {
+// Largest odd-power table pow_into builds, in bytes: the table comes from
+// the calling thread's ScratchArena lease and 32 KiB stays L1-resident.
+constexpr std::size_t kMaxWindowTableBytes = 32 * 1024;
+
+// Sliding-window width for a nbits-long exponent over k-limb residues:
+// minimizes 2^{w-1} table products + nbits/(w+1) window products. Widening
+// w -> w+1 pays once nbits > 2^{w-1} (w+1) (w+2), i.e. past 1792, 4608,
+// 11520, 28160, ... bits; the table cap stops it at w = 9 for k = 16.
+unsigned window_bits_for(std::size_t nbits, std::size_t k) {
   if (nbits <= 32) return 2;
   if (nbits <= 128) return 4;
   if (nbits <= 1024) return 5;
-  return 6;
+  unsigned w = 6;
+  while ((std::size_t{1} << (w - 1)) * (w + 1) * (w + 2) < nbits &&
+         (std::size_t{1} << w) * k * sizeof(Limb) <= kMaxWindowTableBytes) {
+    ++w;
+  }
+  return w;
+}
+
+// Shared last step of every kernel: r is the k-limb Montgomery result and
+// `top` its carry limb. r + top * R < 2N, so one conditional subtraction
+// lands in [0, N).
+inline void reduce_once(Limb* out, const Limb* r, Limb top, const Limb* n,
+                        std::size_t k) {
+  if (top != 0 || ge_mod(r, n, k)) {
+    sub_mod(out, r, n, k);
+  } else {
+    std::copy(r, r + k, out);
+  }
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define ICE_BN_HAVE_ADX_KERNELS 1
+#define ICE_BN_HAVE_FIXED_KERNELS 1
 
-// Largest limb count served by the ADX squaring path (bounds the stack pad
-// below; 32 limbs = 2048-bit moduli, beyond every protocol configuration).
-constexpr std::size_t kAdxMaxLimbs = 32;
-
-bool have_adx() {
-  static const bool ok =
-      __builtin_cpu_supports("adx") && __builtin_cpu_supports("bmi2");
-  return ok;
+// c2:c1:c0 += x * y[0]: one MULX product folded into a three-limb column
+// accumulator (ADD/ADC/ADC; the top limb only counts carries).
+__attribute__((always_inline)) inline void mac(Limb& c0, Limb& c1, Limb& c2,
+                                               Limb x, const Limb* y) {
+  Limb lo, hi;
+  asm("mulx %[y], %[lo], %[hi]\n\t"
+      "add %[lo], %[c0]\n\t"
+      "adc %[hi], %[c1]\n\t"
+      "adc $0, %[c2]"
+      : [c0] "+r"(c0), [c1] "+r"(c1), [c2] "+r"(c2), [lo] "=&r"(lo),
+        [hi] "=&r"(hi)
+      : [y] "m"(*y), "d"(x)
+      : "cc");
 }
 
-// t[0..len] += x * v[0..len-1]; returns the carry out of t[len] (0..2).
-// `len` must be even and >= 2. Dual carry chains: ADCX accumulates
-// lo_j + hi_{j-1}, ADOX folds the running t[j] in, so the two additions per
-// limb never serialize on one flag. Loop control uses LEA/JRCXZ only, which
-// leave CF and OF untouched between iterations.
-inline Limb mac_row_adx(Limb* t, Limb x, const Limb* v, std::size_t len) {
-  Limb carry_lo, carry_hi;
-  std::size_t cnt = len / 2;
-  asm volatile(
-      "xor %%r11d, %%r11d\n\t"  // hi_prev = 0; clears CF and OF
-      "1:\n\t"
-      "mulx (%[v]), %%rax, %%rbx\n\t"
-      "adcx %%r11, %%rax\n\t"
-      "adox (%[t]), %%rax\n\t"
-      "mov %%rax, (%[t])\n\t"
-      "mulx 8(%[v]), %%rax, %%r11\n\t"
-      "adcx %%rbx, %%rax\n\t"
-      "adox 8(%[t]), %%rax\n\t"
-      "mov %%rax, 8(%[t])\n\t"
-      "lea 16(%[v]), %[v]\n\t"
-      "lea 16(%[t]), %[t]\n\t"
-      "lea -1(%[cnt]), %[cnt]\n\t"
-      "jrcxz 2f\n\t"
-      "jmp 1b\n\t"
-      "2:\n\t"
-      // t[len] += hi_prev + CF + OF, capturing both possible overflows
-      "mov $0, %%eax\n\t"
-      "mov $0, %%ebx\n\t"
-      "adox %%rax, %%r11\n\t"
-      "seto %%bl\n\t"
-      "adcx (%[t]), %%r11\n\t"
-      "mov %%r11, (%[t])\n\t"
-      "setc %%al\n\t"
-      : [t] "+r"(t), [v] "+r"(v), [cnt] "+c"(cnt), "=a"(carry_lo),
-        "=b"(carry_hi)
-      : "d"(x)
-      : "r11", "cc", "memory");
-  return carry_lo + carry_hi;
+// c2:c1:c0 += x2:x1:x0.
+__attribute__((always_inline)) inline void add3(Limb& c0, Limb& c1, Limb& c2,
+                                                Limb x0, Limb x1, Limb x2) {
+  asm("add %[x0], %[c0]\n\t"
+      "adc %[x1], %[c1]\n\t"
+      "adc %[x2], %[c2]"
+      : [c0] "+r"(c0), [c1] "+r"(c1), [c2] "+r"(c2)
+      : [x0] "r"(x0), [x1] "r"(x1), [x2] "r"(x2)
+      : "cc");
 }
 
-// Rare-path propagation of a row's carry-out into t[from..to].
-inline void propagate_carry(Limb* t, Limb carry, std::size_t from,
-                            std::size_t to) {
-  for (std::size_t idx = from; carry != 0 && idx <= to; ++idx) {
-    const u128 s = static_cast<u128>(t[idx]) + carry;
-    t[idx] = static_cast<Limb>(s);
-    carry = static_cast<Limb>(s >> 64);
+// c2:c1:c0 *= 2.
+__attribute__((always_inline)) inline void dbl3(Limb& c0, Limb& c1, Limb& c2) {
+  asm("add %[c0], %[c0]\n\t"
+      "adc %[c1], %[c1]\n\t"
+      "adc %[c2], %[c2]"
+      : [c0] "+r"(c0), [c1] "+r"(c1), [c2] "+r"(c2)
+      :
+      : "cc");
+}
+
+// x2:x1:x0 += sum of p[j] * q[c - j] over j in [lo, hi). kFull unrolls the
+// run completely (its bounds are constants once the column loop around it
+// is unrolled); otherwise eight products per loop trip.
+template <bool kFull>
+__attribute__((always_inline)) inline void dot(Limb& x0, Limb& x1, Limb& x2,
+                                               const Limb* p, const Limb* q,
+                                               std::size_t c, std::size_t lo,
+                                               std::size_t hi) {
+  if constexpr (kFull) {
+#pragma GCC unroll 64
+    for (std::size_t j = lo; j < hi; ++j) mac(x0, x1, x2, p[j], q + (c - j));
+  } else {
+#pragma GCC unroll 8
+    for (std::size_t j = lo; j < hi; ++j) mac(x0, x1, x2, p[j], q + (c - j));
   }
 }
+
+// Montgomery multiply and square for a compile-time limb count K.
+//
+// Product scanning with the reduction folded into each column (the FIPS
+// ordering): column c of the 2K-limb result gathers every a[j] * b[c-j]
+// into the accumulator X and every m[j] * n[c-j] into Y. Both are fresh
+// three-limb register accumulators with their own carry chains, so the two
+// product streams never wait on each other, and column c+1's a * b
+// products run while column c's multiplier m[c] = (low limb) * n0inv is
+// still being derived. X and Y are merged with the two carry limbs of
+// column c-1 at the end of the column.
+// Below column K the merged low limb is cancelled by m[c] * n[0]; from
+// column K on it is result limb c - K. So t[] never exists: the
+// accumulator lives in registers and the only stores are the K result limbs
+// and the K multipliers.
+//
+// Up to 16 limbs the column loop and every product run unroll completely
+// into straight-line MULX code (a 16-limb square is ~11 KiB of it). At 32
+// limbs that would be ~100 KiB for the pair, far past the L1 instruction
+// cache, so the columns stay a loop with eight-product trips.
+//
+// Every load of a and b happens before the result is written to `out`, so
+// out may alias a and/or b. m[c] is the same (t mod 2^64) * n0inv the
+// portable kernels derive at round c, so both compute the same value, and
+// reduce_once makes it the same bits.
+template <std::size_t K>
+struct Fixed {
+  static constexpr bool kUnrolled = K <= 16;
+
+  static void mul(Limb* out, const Limb* a, const Limb* b, const Limb* n,
+                  Limb n0inv, std::size_t /*k*/, Limb* /*scratch*/) {
+    Columns cols;
+    auto column = [&](std::size_t c) __attribute__((always_inline)) {
+      const std::size_t lo = c < K ? 0 : c - K + 1;
+      const std::size_t hi = c < K ? c : K;  // m[j] exists for j < hi
+      Limb x0 = 0, x1 = 0, x2 = 0, y0 = 0, y1 = 0, y2 = 0;
+      dot<kUnrolled>(x0, x1, x2, a, b, c, lo, hi);
+      if (c < K) mac(x0, x1, x2, a[c], b);
+      dot<kUnrolled>(y0, y1, y2, cols.m, n, c, lo, hi);
+      cols.close(c, x0, x1, x2, y0, y1, y2, n, n0inv);
+    };
+    if constexpr (kUnrolled) {
+#pragma GCC unroll 64
+      for (std::size_t c = 0; c < 2 * K - 1; ++c) column(c);
+    } else {
+      for (std::size_t c = 0; c < 2 * K - 1; ++c) column(c);
+    }
+    cols.finish(out, n);
+  }
+
+  static void sqr(Limb* out, const Limb* a, const Limb* n, Limb n0inv,
+                  std::size_t /*k*/, Limb* /*scratch*/) {
+    Columns cols;
+    auto column = [&](std::size_t c) __attribute__((always_inline)) {
+      const std::size_t lo = c < K ? 0 : c - K + 1;
+      const std::size_t hi = c < K ? c : K;
+      Limb x0 = 0, x1 = 0, x2 = 0, y0 = 0, y1 = 0, y2 = 0;
+      // Cross products a[i] * a[c-i] with i < c-i, once each, doubled.
+      dot<kUnrolled>(x0, x1, x2, a, a, c, lo, (c + 1) / 2);
+      dbl3(x0, x1, x2);
+      if (c % 2 == 0) mac(x0, x1, x2, a[c / 2], a + c / 2);
+      dot<kUnrolled>(y0, y1, y2, cols.m, n, c, lo, hi);
+      cols.close(c, x0, x1, x2, y0, y1, y2, n, n0inv);
+    };
+    if constexpr (kUnrolled) {
+#pragma GCC unroll 64
+      for (std::size_t c = 0; c < 2 * K - 1; ++c) column(c);
+    } else {
+      for (std::size_t c = 0; c < 2 * K - 1; ++c) column(c);
+    }
+    cols.finish(out, n);
+  }
+
+ private:
+  // The state carried from column to column.
+  struct Columns {
+    Limb m[K];       // the reduction multipliers m[0..K)
+    Limb r[K];       // the result limbs, before the final subtraction
+    Limb c0 = 0;     // the two carry limbs into the next column
+    Limb c1 = 0;
+
+    // Merges column c's X and Y into the carry-in, then either derives m[c]
+    // and cancels the low limb (c < K) or emits result limb c - K, and
+    // leaves the column's two carry limbs for column c + 1.
+    __attribute__((always_inline)) void close(std::size_t c, Limb x0,
+                                              Limb x1, Limb x2, Limb y0,
+                                              Limb y1, Limb y2, const Limb* n,
+                                              Limb n0inv) {
+      Limb c2 = 0;
+      add3(c0, c1, c2, x0, x1, x2);
+      add3(c0, c1, c2, y0, y1, y2);
+      if (c < K) {
+        m[c] = c0 * n0inv;
+        mac(c0, c1, c2, m[c], n);  // the low limb becomes exactly 0
+      } else {
+        r[c - K] = c0;
+      }
+      c0 = c1;
+      c1 = c2;
+    }
+
+    // After column 2K - 2: c0 is the top result limb and c1 its carry.
+    void finish(Limb* out, const Limb* n) {
+      r[K - 1] = c0;
+      reduce_once(out, r, c1, n, K);
+    }
+  };
+};
 #endif  // x86-64 GNU
+
+detail::Kernels pick_kernels(std::size_t k) {
+#ifdef ICE_BN_HAVE_FIXED_KERNELS
+  __builtin_cpu_init();  // contexts may be built by static initializers
+  if (__builtin_cpu_supports("bmi2")) {
+    switch (k) {
+      case 4: return {&Fixed<4>::mul, &Fixed<4>::sqr};
+      case 8: return {&Fixed<8>::mul, &Fixed<8>::sqr};
+      case 16: return {&Fixed<16>::mul, &Fixed<16>::sqr};
+      case 32: return {&Fixed<32>::mul, &Fixed<32>::sqr};
+      default: break;
+    }
+  }
+#endif
+  return {&detail::mont_mul_portable, &detail::mont_sqr_portable};
+}
 
 }  // namespace
 
-Montgomery::Montgomery(const BigInt& modulus) : n_big_(modulus) {
-  if (modulus <= BigInt(1) || modulus.is_even()) {
-    throw ParamError("Montgomery: modulus must be odd and > 1");
-  }
-  n_ = modulus.limbs();
-  k_ = n_.size();
-  n0inv_ = ~inv64(n_[0]) + 1;  // -inv mod 2^64
-  // R^2 mod N with R = 2^{64k}: compute (2^{64k})^2 mod N via BigInt.
-  BigInt r2 = (BigInt(1) << (64 * k_ * 2)).mod(modulus);
-  r2_ = r2.limbs();
-  r2_.resize(k_, 0);
-  BigInt r1 = (BigInt(1) << (64 * k_)).mod(modulus);
-  one_mont_ = r1.limbs();
-  one_mont_.resize(k_, 0);
-  one_plain_.assign(k_, 0);
-  one_plain_[0] = 1;
-}
+namespace detail {
 
-void Montgomery::mul_into(Limb* out, const Limb* a, const Limb* b,
-                          Limb* scratch) const {
+void mont_mul_portable(Limb* out, const Limb* a, const Limb* b, const Limb* n,
+                       Limb n0inv, std::size_t k, Limb* scratch) {
   // Fused CIOS into scratch[0..k+1]: each round adds a[i] * b and m * n in
   // ONE pass over t with two independent carry chains (c1 for a*b, c2 for
   // m*n), halving the t traffic per round and letting the two multiply
   // streams overlap instead of serializing on a single carry chain.
-  const std::size_t k = k_;
-  const Limb* n = n_.data();
   Limb* t = scratch;
-
-#ifdef ICE_BN_HAVE_ADX_KERNELS
-  if (have_adx() && k >= 2 && k % 2 == 0 && k <= kAdxMaxLimbs) {
-    std::fill(t, t + 2 * k + 1, Limb{0});
-    mul_into_adx(out, a, b, t);
-    return;
-  }
-#endif
-
   std::fill(t, t + k + 2, Limb{0});
   for (std::size_t i = 0; i < k; ++i) {
     const Limb ai = a[i];
     u128 p = static_cast<u128>(ai) * b[0] + t[0];
-    const Limb m = static_cast<Limb>(p) * n0inv_;
+    const Limb m = static_cast<Limb>(p) * n0inv;
     const u128 q = static_cast<u128>(m) * n[0] + static_cast<Limb>(p);
     Limb c1 = static_cast<Limb>(p >> 64);
     Limb c2 = static_cast<Limb>(q >> 64);  // low limb of q is exactly 0
@@ -173,28 +286,15 @@ void Montgomery::mul_into(Limb* out, const Limb* a, const Limb* b,
     t[k] = t[k + 1] + static_cast<Limb>(s >> 64);
     t[k + 1] = 0;
   }
-  // Conditional final subtraction: result < 2N is guaranteed.
-  if (t[k] != 0 || ge_mod(t, n, k)) {
-    sub_mod(out, t, n, k);
-  } else {
-    std::copy(t, t + k, out);
-  }
+  reduce_once(out, t, t[k], n, k);
 }
 
-void Montgomery::sqr_into(Limb* out, const Limb* a, Limb* scratch) const {
+void mont_sqr_portable(Limb* out, const Limb* a, const Limb* n, Limb n0inv,
+                       std::size_t k, Limb* scratch) {
   // SOS squaring: full 2k-limb square with the cross products computed once
   // and doubled, then a separate Montgomery reduction pass.
-  const std::size_t k = k_;
-  const Limb* n = n_.data();
   Limb* t = scratch;  // uses 2k + 1 limbs
   std::fill(t, t + 2 * k + 1, Limb{0});
-
-#ifdef ICE_BN_HAVE_ADX_KERNELS
-  if (have_adx() && k >= 2 && k % 2 == 0 && k <= kAdxMaxLimbs) {
-    sqr_into_adx(out, a, t);
-    return;
-  }
-#endif
 
   // Cross products a[i] * a[j], j > i. Row i writes t[2i+1 .. i+k-1] and
   // assigns the carry to t[i+k], which no earlier row has touched.
@@ -234,12 +334,12 @@ void Montgomery::sqr_into(Limb* out, const Limb* a, Limb* scratch) const {
   // both rounds then run one shared pass with independent carry chains.
   std::size_t i = 0;
   for (; i + 1 < k; i += 2) {
-    const Limb m0 = t[i] * n0inv_;
+    const Limb m0 = t[i] * n0inv;
     const u128 p = static_cast<u128>(m0) * n[0] + t[i];
     Limb c0 = static_cast<Limb>(p >> 64);  // low limb of p is exactly 0
     u128 v = static_cast<u128>(m0) * n[1] + t[i + 1] + c0;
     c0 = static_cast<Limb>(v >> 64);
-    const Limb m1 = static_cast<Limb>(v) * n0inv_;
+    const Limb m1 = static_cast<Limb>(v) * n0inv;
     const u128 q = static_cast<u128>(m1) * n[0] + static_cast<Limb>(v);
     Limb c1 = static_cast<Limb>(q >> 64);  // low limb of q is exactly 0
     for (std::size_t j = 2; j < k; ++j) {
@@ -261,7 +361,7 @@ void Montgomery::sqr_into(Limb* out, const Limb* a, Limb* scratch) const {
     }
   }
   for (; i < k; ++i) {  // odd k: one single-chain tail round
-    const Limb m = t[i] * n0inv_;
+    const Limb m = t[i] * n0inv;
     carry = 0;
     for (std::size_t j = 0; j < k; ++j) {
       const u128 s = static_cast<u128>(m) * n[j] + t[i + j] + carry;
@@ -274,106 +374,29 @@ void Montgomery::sqr_into(Limb* out, const Limb* a, Limb* scratch) const {
       carry = static_cast<Limb>(s >> 64);
     }
   }
-  Limb* r = t + k;  // k + 1 limbs
-  if (r[k] != 0 || ge_mod(r, n, k)) {
-    sub_mod(out, r, n, k);
-  } else {
-    std::copy(r, r + k, out);
-  }
+  reduce_once(out, t + k, t[2 * k], n, k);
 }
 
-#ifdef ICE_BN_HAVE_ADX_KERNELS
-void Montgomery::sqr_into_adx(Limb* out, const Limb* a, Limb* t) const {
-  // Same SOS shape as the generic path (cross rows, double, diagonals,
-  // row-at-a-time Montgomery reduction) with the two O(k^2) row passes done
-  // by mac_row_adx. Every reduction round derives the same multiplier
-  // m_i = t[i] * n0inv, so the result is bit-identical to the generic
-  // kernel; only the carry bookkeeping differs.
-  const std::size_t k = k_;
-  const Limb* n = n_.data();
-  // Caller zeroed t[0 .. 2k]. Rows read up to one limb past the cross
-  // range when the row length is odd (rounded up to the even length the
-  // asm loop needs), so read from a zero-padded copy of `a`.
-  Limb pad[kAdxMaxLimbs + 2];
-  std::copy(a, a + k, pad);
-  pad[k] = 0;
-  pad[k + 1] = 0;
+}  // namespace detail
 
-  // Cross products a[i] * a[j], j > i: row i adds a[i] * a[i+1..k-1] at
-  // t[2i+1]. The running partial sum fits in t[0 .. i+k], so each row's
-  // returned carry is zero; propagate anyway to keep the invariant local.
-  for (std::size_t i = 0; i + 1 < k; ++i) {
-    const std::size_t len = k - 1 - i;
-    const std::size_t len2 = (len + 1) & ~std::size_t{1};
-    const Limb c = mac_row_adx(t + 2 * i + 1, pad[i], pad + i + 1, len2);
-    propagate_carry(t, c, 2 * i + 2 + len2, 2 * k);
+Montgomery::Montgomery(const BigInt& modulus) : n_big_(modulus) {
+  if (modulus <= BigInt(1) || modulus.is_even()) {
+    throw ParamError("Montgomery: modulus must be odd and > 1");
   }
-  // Double the cross products and add the diagonal a[i]^2 terms (O(k) work
-  // next to the O(k^2) row passes; single carry chains are fine here).
-  Limb shift_carry = 0;
-  for (std::size_t i = 0; i < 2 * k; ++i) {
-    const Limb v = t[i];
-    t[i] = (v << 1) | shift_carry;
-    shift_carry = v >> 63;
-  }
-  t[2 * k] = shift_carry;
-  Limb carry = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u128 s = static_cast<u128>(pad[i]) * pad[i] + t[2 * i] + carry;
-    t[2 * i] = static_cast<Limb>(s);
-    const u128 s2 = static_cast<u128>(t[2 * i + 1]) +
-                    static_cast<Limb>(s >> 64);
-    t[2 * i + 1] = static_cast<Limb>(s2);
-    carry = static_cast<Limb>(s2 >> 64);
-  }
-  t[2 * k] += carry;
-
-  // Montgomery reduction, one k-limb row per round; carries can escape
-  // t[i+k] here, so the returned carry does propagate.
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb m = t[i] * n0inv_;
-    const Limb c = mac_row_adx(t + i, m, n, k);
-    propagate_carry(t, c, i + k + 1, 2 * k);
-  }
-  Limb* r = t + k;
-  if (r[k] != 0 || ge_mod(r, n, k)) {
-    sub_mod(out, r, n, k);
-  } else {
-    std::copy(r, r + k, out);
-  }
+  n_ = modulus.limbs();
+  k_ = n_.size();
+  n0inv_ = ~inv64(n_[0]) + 1;  // -inv mod 2^64
+  // R^2 mod N with R = 2^{64k}: compute (2^{64k})^2 mod N via BigInt.
+  BigInt r2 = (BigInt(1) << (64 * k_ * 2)).mod(modulus);
+  r2_ = r2.limbs();
+  r2_.resize(k_, 0);
+  BigInt r1 = (BigInt(1) << (64 * k_)).mod(modulus);
+  one_mont_ = r1.limbs();
+  one_mont_.resize(k_, 0);
+  one_plain_.assign(k_, 0);
+  one_plain_[0] = 1;
+  kernels_ = pick_kernels(k_);
 }
-
-void Montgomery::mul_into_adx(Limb* out, const Limb* a, const Limb* b,
-                              Limb* t) const {
-  // SOS multiply: full 2k-limb product by ADX rows, then the same
-  // row-at-a-time Montgomery reduction as sqr_into_adx. The reduction
-  // multiplier of round i is t[i] * n0inv, identical to the value the fused
-  // CIOS kernel derives at its round i (it depends only on t[i] mod 2^64,
-  // which both orderings agree on), so the result is bit-identical to the
-  // portable kernel. Writes go to `t` first, so out may alias a or b.
-  const std::size_t k = k_;
-  const Limb* n = n_.data();
-  // Caller zeroed t[0 .. 2k]. Product rows: t[i..] += a[i] * b, k limbs
-  // each (k is even, matching the asm loop's stride); the partial sum
-  // through row i fits in t[0 .. i+k], so row carries are zero, but keep
-  // the propagation local to preserve the invariant.
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb c = mac_row_adx(t + i, a[i], b, k);
-    propagate_carry(t, c, i + k + 1, 2 * k);
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const Limb m = t[i] * n0inv_;
-    const Limb c = mac_row_adx(t + i, m, n, k);
-    propagate_carry(t, c, i + k + 1, 2 * k);
-  }
-  Limb* r = t + k;
-  if (r[k] != 0 || ge_mod(r, n, k)) {
-    sub_mod(out, r, n, k);
-  } else {
-    std::copy(r, r + k, out);
-  }
-}
-#endif  // ICE_BN_HAVE_ADX_KERNELS
 
 Montgomery::LimbVec Montgomery::mont_mul(const LimbVec& a,
                                          const LimbVec& b) const {
@@ -451,7 +474,7 @@ void Montgomery::pow_into(BigInt& out, const BigInt& base,
   }
 
   const std::size_t nbits = exp.bit_length();
-  const unsigned w = window_bits_for(nbits);
+  const unsigned w = window_bits_for(nbits, k_);
   const std::size_t k = k_;
   const std::size_t tsize = std::size_t{1} << (w - 1);
 

@@ -29,6 +29,38 @@ namespace ice::bn {
 
 class FixedBase;
 
+namespace detail {
+
+// Montgomery kernel signatures: out = a * b * R^{-1} mod N (resp. a^2) for
+// k-limb residues a, b < N, with n the k limbs of N, n0inv = -N^{-1} mod
+// 2^64 and `scratch` at least 2k + 2 limbs. The output is fully reduced
+// into [0, N), and out may alias a and/or b.
+using MulKernel = void (*)(BigInt::Limb* out, const BigInt::Limb* a,
+                           const BigInt::Limb* b, const BigInt::Limb* n,
+                           BigInt::Limb n0inv, std::size_t k,
+                           BigInt::Limb* scratch);
+using SqrKernel = void (*)(BigInt::Limb* out, const BigInt::Limb* a,
+                           const BigInt::Limb* n, BigInt::Limb n0inv,
+                           std::size_t k, BigInt::Limb* scratch);
+
+// The portable u128 kernels: the fallback for widths without a fixed-width
+// kernel and for CPUs without BMI2, and the differential oracle the
+// fixed-width kernels are tested against.
+void mont_mul_portable(BigInt::Limb* out, const BigInt::Limb* a,
+                       const BigInt::Limb* b, const BigInt::Limb* n,
+                       BigInt::Limb n0inv, std::size_t k,
+                       BigInt::Limb* scratch);
+void mont_sqr_portable(BigInt::Limb* out, const BigInt::Limb* a,
+                       const BigInt::Limb* n, BigInt::Limb n0inv,
+                       std::size_t k, BigInt::Limb* scratch);
+
+struct Kernels {
+  MulKernel mul;
+  SqrKernel sqr;
+};
+
+}  // namespace detail
+
 /// Montgomery context for a fixed odd modulus N > 1.
 /// Thread-safe for concurrent use after construction (the mutable fixed-base
 /// table cache is internally synchronized; everything else is const).
@@ -99,13 +131,18 @@ class Montgomery {
   [[nodiscard]] LimbVec mont_sqr(const LimbVec& a) const;
 
   // --- Allocation-free kernels for inner loops ----------------------------
-  // out/a/b point at k-limb buffers; `scratch` at scratch_limbs() limbs.
-  // out may alias a and/or b (results are staged in scratch).
+  // out/a/b point at k-limb residues in [0, N); `scratch` at
+  // scratch_limbs() limbs. out may alias a and/or b. Both run the kernel
+  // the constructor picked (kernels_ below), with no per-call dispatch.
 
   [[nodiscard]] std::size_t scratch_limbs() const { return 2 * k_ + 2; }
   void mul_into(Limb* out, const Limb* a, const Limb* b,
-                Limb* scratch) const;
-  void sqr_into(Limb* out, const Limb* a, Limb* scratch) const;
+                Limb* scratch) const {
+    kernels_.mul(out, a, b, n_.data(), n0inv_, k_, scratch);
+  }
+  void sqr_into(Limb* out, const Limb* a, Limb* scratch) const {
+    kernels_.sqr(out, a, n_.data(), n0inv_, k_, scratch);
+  }
 
   /// Cached Lim-Lee comb for `base`, able to take exponents of at least
   /// `min_exp_bits` bits. Built lazily (and rebuilt bigger when a longer
@@ -121,12 +158,6 @@ class Montgomery {
   static constexpr std::size_t kMaxCachedBases = 8;
 
  private:
-  // x86-64 ADX/BMI2 paths (mulx + dual adcx/adox carry chains), selected at
-  // runtime by sqr_into / mul_into when the CPU supports them. Bit-identical
-  // to the portable kernels. Defined only on x86-64 GNU toolchains.
-  void sqr_into_adx(Limb* out, const Limb* a, Limb* t) const;
-  void mul_into_adx(Limb* out, const Limb* a, const Limb* b, Limb* t) const;
-
   std::size_t k_;      // limb count of modulus
   LimbVec n_;          // modulus limbs, length k_
   BigInt n_big_;
@@ -134,6 +165,10 @@ class Montgomery {
   LimbVec r2_;         // R^2 mod N (R = 2^{64 k_}), length k_
   LimbVec one_mont_;   // R mod N
   LimbVec one_plain_;  // the k-limb constant 1 (from_mont multiplies by it)
+  // The multiply/square pair for this width: the compile-time-width
+  // kernel (Fixed<K> in montgomery.cpp) when there is one for k_ and the
+  // CPU has BMI2, else the portable pair. Picked once by the constructor.
+  detail::Kernels kernels_;
 
   // Small per-context comb cache keyed by base value (linear scan; there
   // are only ever a handful of long-lived bases per modulus). Hits bump the

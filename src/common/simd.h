@@ -3,8 +3,8 @@
 // The Woodruff–Yekhanin servers are pure XOR/scatter workloads: every hot
 // loop XORs a K-bit tag row (packed in 64-bit words) into an accumulator
 // plane. These kernels provide that operation in three tiers — portable
-// u64, AVX2 (256-bit) and AVX-512 (512-bit) — probed once at startup (the
-// same pattern as the bignum ADX squaring dispatch) and selectable at
+// u64, AVX2 (256-bit) and AVX-512 (512-bit) — probed once at startup (as
+// bignum::Montgomery picks its kernel once per modulus) and selectable at
 // runtime so benches can compare tiers and tests can pin every tier to the
 // portable reference.
 //

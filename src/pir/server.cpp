@@ -29,6 +29,17 @@ constexpr std::size_t kRowBlock = 128;
 // thrashing at m = 64.
 constexpr std::size_t kPointTile = 16;
 
+// Fewest rows worth a parallel chunk of the sweep. A smaller database runs
+// in fewer chunks than the thread budget allows, and so does its unpack.
+// Read off the bench_fig2_tag_response thread sweep (|S_j| = 5, 1024-bit
+// tags, 4-core x86-64 host, medians of 101 responses, three runs): split
+// in two, n = 1200 answered in 0.087-0.095 ms against 0.082-0.098 ms
+// unsplit (no gain), n = 2400 in 0.130-0.186 ms against 0.168-0.238 ms.
+// With no minimum, n = 150 took 0.035-0.043 ms on two chunks against
+// 0.021-0.030 ms on one. Break-even is about 600 rows per chunk, so a
+// chunk gets at least 1024.
+constexpr std::size_t kMinRowsPerChunk = 1024;
+
 // Packed GF(4) coefficient quad per query-coordinate key
 // qa | qb << 2 | qc << 4: bits 0-1 the monomial qa*qb*qc, bits 2-3 the
 // partial d0 = qb*qc, bits 4-5 d1 = qa*qc, bits 6-7 d2 = qa*qb. One table
@@ -105,8 +116,10 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
   // thread-local lease, zeroed per call instead of allocated per call.
   const std::size_t pair = 2 * w;
   const std::size_t stride = pair * (1 + gamma);
-  const std::size_t num_shards =
-      chunk_count(n, resolve_parallelism(parallelism_));
+  const std::size_t budget =
+      std::min(resolve_parallelism(parallelism_),
+               std::max<std::size_t>(1, n / kMinRowsPerChunk));
+  const std::size_t num_shards = chunk_count(n, budget);
   auto lease = ScratchArena::local().take_zeroed(
       std::max<std::size_t>(num_shards, 1) * m * stride);
   std::uint64_t* const acc = lease.data();
@@ -135,8 +148,8 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
   // sums bit for bit; the point tiling and section ordering only reorder
   // independent XOR terms.
   constexpr std::size_t kSecCap = kRowBlock + 8;
-  parallel_chunks(n, parallelism_, [&](std::size_t shard, std::size_t begin,
-                                       std::size_t end) {
+  parallel_chunks(n, budget, [&](std::size_t shard, std::size_t begin,
+                                  std::size_t end) {
     std::uint64_t* const shard_acc = acc + shard * m * stride;
     std::uint64_t cand[8 * kRowBlock];
     std::uint64_t sec[8 * kSecCap];
@@ -229,12 +242,13 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
   // Unpack the component planes into per-point responses; the
   // coordinate-major gradient layout mirrors the accumulator, so every
   // output vector expands from one contiguous pair. Points are disjoint
-  // output slots, so they shard over the pool. resize (not assign) keeps a
-  // warm entry's buffers — unpack_pair overwrites every element, so no
-  // zeroing is needed.
+  // output slots, so they shard over the pool, within the sweep's budget
+  // (a database too small to split answers too few entries to split).
+  // resize (not assign) keeps a warm entry's buffers — unpack_pair
+  // overwrites every element, so no zeroing is needed.
   out.entries.resize(m);
-  parallel_chunks(m, parallelism_, [&](std::size_t, std::size_t begin,
-                                       std::size_t end) {
+  parallel_chunks(m, budget, [&](std::size_t, std::size_t begin,
+                                 std::size_t end) {
     for (std::size_t p = begin; p < end; ++p) {
       const std::uint64_t* const pacc = acc + p * stride;
       PirSingleResponse& entry = out.entries[p];

@@ -63,6 +63,40 @@ TEST(MontgomeryTest, PowMatchesNaiveSquareAndMultiply) {
   }
 }
 
+// Naive square-and-multiply: the reference pow_into must match.
+BigInt naive_pow(const BigInt& base, const BigInt& exp, const BigInt& m) {
+  BigInt want(1);
+  for (std::size_t b = exp.bit_length(); b-- > 0;) {
+    want = (want * want).mod(m);
+    if (exp.bit(b)) want = (want * base).mod(m);
+  }
+  return want;
+}
+
+// Past 1024 exponent bits the window widens one bit at each of 1792, 4608,
+// 11520 and 28160 bits until the odd-power table would pass 32 KiB (w = 9
+// at |N| = 1024; w = 10 is reachable at |N| = 128). Every length on both
+// sides of each threshold must still match the naive reference.
+TEST(MontgomeryTest, LongExponentWindowsMatchNaiveSquareAndMultiply) {
+  SplitMix64 gen(81);
+  Rng64Adapter rng(gen);
+  const BigInt n1024 =
+      BigInt::from_hex(std::string(testing::kSafePrime512[0])) *
+      BigInt::from_hex(std::string(testing::kSafePrime512[1]));
+  const BigInt n128 = BigInt::from_hex(std::string(testing::kSafePrime128[0]));
+  for (const BigInt& m : {n1024, n128}) {
+    const Montgomery mont(m);
+    for (std::size_t bits : {1024, 1025, 1792, 1793, 4608, 4609, 11520, 11521,
+                             28160, 28161}) {
+      const BigInt base = random_below(rng, m);
+      BigInt exp = random_bits(rng, bits - 1) + (BigInt(1) << (bits - 1));
+      ASSERT_EQ(exp.bit_length(), bits);
+      EXPECT_EQ(mont.pow(base, exp), naive_pow(base, exp, m))
+          << "|N| = " << m.bit_length() << ", |e| = " << bits;
+    }
+  }
+}
+
 TEST(MontgomeryTest, FermatLittleTheorem) {
   SplitMix64 gen(78);
   Rng64Adapter rng(gen);

@@ -154,6 +154,30 @@ INSTANTIATE_TEST_SUITE_P(Widths, PirWidthDiffTest,
                            return "k" + std::to_string(info.param);
                          });
 
+// The sweep splits into at most one chunk per 1024 rows, so n = 150 above
+// runs on one chunk at every parallelism. n = 4200 (four chunks' worth,
+// not a multiple of 64 or 1024) takes the multi-chunk fold at parallelism
+// 2, 4 and hardware: fused == naive reference bit for bit.
+TEST(PirGrainTest, MultiChunkSweepMatchesNaiveReference) {
+  constexpr std::size_t kN = 4200;
+  constexpr std::size_t kTagBits = 65;
+  SplitMix64 gen(0x6a1e);
+  bn::Rng64Adapter rng(gen);
+  TagDatabase db(kTagBits);
+  for (std::size_t i = 0; i < kN; ++i) {
+    db.add(bn::random_bits(rng, 1 + gen.below(kTagBits)));
+  }
+  const Embedding emb(kN);
+  const auto enc = encode_random(emb, kTagBits, 17, gen);
+  const PirResponse want = reference::naive_respond(db, emb, enc.queries[0]);
+  for (std::size_t parallelism : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}, std::size_t{0}}) {
+    const PirServer server(db, emb, parallelism);
+    ice::testing::expect_same_response(server.respond(enc.queries[0]), want,
+                                       "p=" + std::to_string(parallelism));
+  }
+}
+
 // The fused sweep must produce the same bits no matter which XOR kernel
 // tier serves it (portable / AVX2 / AVX-512, as available).
 TEST(PirBatchSimdTest, AllSupportedTiersProduceIdenticalResponses) {
