@@ -12,7 +12,7 @@ namespace ice::bn {
 namespace {
 
 using Limb = BigInt::Limb;
-using u128 = unsigned __int128;
+__extension__ using u128 = unsigned __int128;
 
 constexpr std::size_t kKaratsubaThreshold = 32;  // limbs
 

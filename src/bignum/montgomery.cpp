@@ -10,7 +10,7 @@ namespace ice::bn {
 
 namespace {
 
-using u128 = unsigned __int128;
+__extension__ using u128 = unsigned __int128;
 using Limb = BigInt::Limb;
 
 // Inverse of odd `x` modulo 2^64 by Newton iteration (quadratic convergence:

@@ -14,25 +14,54 @@ namespace {
 using Limb = Montgomery::Limb;
 
 // Sliding-window width for Straus: per-base tables cost 2^{w-1} products,
-// windows cost ~bits/(w+1) products per base.
+// windows cost ~bits/(w+1) products per base. The edge proof's ladder
+// digits (8-33 kbit) take w = 8: at t = 8 digits of 16.5 kbit the
+// 128-entry tables cost ~1k products and save ~3k window multiplies
+// (bench_modexp's ladder row, ~10% faster than w = 6).
 unsigned straus_window(std::size_t max_bits) {
   if (max_bits <= 32) return 2;
   if (max_bits <= 128) return 4;
   if (max_bits <= 1024) return 5;
-  return 6;
+  if (max_bits <= 8192) return 6;
+  return 8;
 }
 
-// One odd window of one exponent: multiply table[digit >> 1] in when the
-// shared chain reaches bit `pos`.
-struct WindowEvent {
+// Bit i of the non-negative e, read straight from its limbs.
+inline bool exp_bit(const Limb* limbs, std::size_t n, std::size_t i) {
+  return i / 64 < n && ((limbs[i / 64] >> (i % 64)) & 1u);
+}
+
+// The next odd window of one exponent, produced top-down as the shared
+// chain descends: multiply table[digit >> 1] in when the chain reaches bit
+// `pos`. Bases are visited in index order at each position.
+struct WindowCursor {
   std::size_t pos;
-  std::uint32_t base;
-  std::uint32_t digit;  // odd
+  std::uint32_t digit;  // odd; 0 once the exponent is used up
 };
 
+// The highest window of e below bit `end`: from the next set bit `top`
+// down to j = max(top - w + 1, 0), raised to the lowest set bit.
+WindowCursor next_window(const BigInt& e, std::size_t end, unsigned w) {
+  const Limb* limbs = e.limbs().data();
+  const std::size_t n = e.limbs().size();
+  std::size_t top = end;
+  do {
+    if (top == 0) return {0, 0};
+    --top;
+  } while (!exp_bit(limbs, n, top));
+  std::size_t j = top >= w - 1 ? top - (w - 1) : 0;
+  while (!exp_bit(limbs, n, j)) ++j;
+  std::uint32_t digit = 0;
+  for (std::size_t b = j; b <= top; ++b) {
+    digit |= static_cast<std::uint32_t>(exp_bit(limbs, n, b)) << (b - j);
+  }
+  return {j, digit};
+}
+
 // prod bases[i]^{exps[i]} over [begin, end) with one shared squaring chain,
-// written into the k-limb buffer `out` (Montgomery form). Table limbs come
-// from the calling thread's arena; the window schedule reuses thread-local
+// written into the k-limb buffer `out` (Montgomery form). Each base keeps
+// one window cursor, so the state is O(bases), not O(windows): table limbs
+// come from the calling thread's arena, the cursors reuse thread-local
 // capacity — steady-state calls are allocation-free.
 void straus_range(const Montgomery& mont, const std::vector<BigInt>& bases,
                   const std::vector<BigInt>& exps, std::size_t begin,
@@ -48,41 +77,25 @@ void straus_range(const Montgomery& mont, const std::vector<BigInt>& bases,
   }
   const unsigned w = straus_window(max_bits);
 
-  // Window schedule and per-base table extents (offs is a prefix sum of
-  // table entry counts; zero-exponent bases get no table at all).
-  static thread_local std::vector<WindowEvent> events;
+  // Per-base odd-power tables laid out flat: offs is a prefix sum of entry
+  // counts. A window of an nbits-bit exponent is below 2^min(w, nbits), so
+  // that many odd powers cover it; zero exponents get no table.
+  static thread_local std::vector<WindowCursor> cursors;
   static thread_local std::vector<std::size_t> offs;
-  events.clear();
+  cursors.resize(end - begin);
   offs.assign(end - begin + 1, 0);
+  std::size_t top = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    const BigInt& e = exps[i];
-    const std::size_t nbits = e.bit_length();
+    const std::size_t nbits = exps[i].bit_length();
+    cursors[i - begin] = next_window(exps[i], nbits, w);
     if (nbits == 0) continue;
-    std::size_t top = nbits;
-    std::uint32_t max_digit = 1;
-    while (top-- > 0) {
-      if (!e.bit(top)) continue;
-      std::size_t j = top >= w - 1 ? top - (w - 1) : 0;
-      while (!e.bit(j)) ++j;
-      std::uint32_t digit = 0;
-      for (std::size_t b = j; b <= top; ++b) {
-        digit |= static_cast<std::uint32_t>(e.bit(b)) << (b - j);
-      }
-      events.push_back({j, static_cast<std::uint32_t>(i - begin), digit});
-      max_digit = std::max(max_digit, digit);
-      if (j == 0) break;
-      top = j;  // loop decrement continues from bit j - 1
-    }
-    offs[i - begin + 1] = (max_digit >> 1) + 1;
-  }
-  if (events.empty()) {
-    std::copy(mont.one_mont().begin(), mont.one_mont().end(), out);
-    return;
+    offs[i - begin + 1] = std::size_t{1}
+                          << (std::min<std::size_t>(w, nbits) - 1);
+    top = std::max(top, cursors[i - begin].pos);
   }
   for (std::size_t i = 1; i < offs.size(); ++i) offs[i] += offs[i - 1];
 
-  // One arena lease: all per-base odd-power tables laid out flat, plus
-  // base^2 staging and kernel scratch.
+  // One arena lease: all tables, plus base^2 staging and kernel scratch.
   const std::size_t total = offs.back();
   ScratchArena::Lease lease =
       ScratchArena::local().take(total * k + k + mont.scratch_limbs());
@@ -101,31 +114,22 @@ void straus_range(const Montgomery& mont, const std::vector<BigInt>& bases,
       }
     }
   }
-  // Replay top-down. (pos, base) pairs are unique — one window per base per
-  // position — so this plain sort reproduces the insertion order for equal
-  // positions (base-ascending) that a stable sort by pos would give, without
-  // stable_sort's temporary buffer.
-  std::sort(events.begin(), events.end(),
-            [](const WindowEvent& a, const WindowEvent& b) {
-              return a.pos != b.pos ? a.pos > b.pos : a.base < b.base;
-            });
 
   Limb* acc = out;
   bool started = false;
-  std::size_t next = 0;
-  for (std::size_t pos = events.front().pos + 1; pos-- > 0;) {
+  for (std::size_t pos = top + 1; pos-- > 0;) {
     if (started) mont.sqr_into(acc, acc, scratch);
-    while (next < events.size() && events[next].pos == pos) {
-      const Limb* entry =
-          tables +
-          (offs[events[next].base] + (events[next].digit >> 1)) * k;
+    for (std::size_t i = 0; i < cursors.size(); ++i) {
+      WindowCursor& c = cursors[i];
+      if (c.digit == 0 || c.pos != pos) continue;
+      const Limb* entry = tables + (offs[i] + (c.digit >> 1)) * k;
       if (started) {
         mont.mul_into(acc, acc, entry, scratch);
       } else {
         std::copy(entry, entry + k, acc);
         started = true;
       }
-      ++next;
+      c = next_window(exps[begin + i], pos, w);
     }
   }
 }

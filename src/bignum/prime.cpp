@@ -21,9 +21,8 @@ std::uint64_t small_factor(const BigInt& n) {
   return 0;
 }
 
-bool miller_rabin_once(const Montgomery& mont, const BigInt& n,
-                       const BigInt& n_minus_1, const BigInt& d,
-                       std::size_t r, const BigInt& base) {
+bool miller_rabin_once(const Montgomery& mont, const BigInt& n_minus_1,
+                       const BigInt& d, std::size_t r, const BigInt& base) {
   BigInt x = mont.pow(base, d);
   if (x == BigInt(1) || x == n_minus_1) return true;
   for (std::size_t i = 1; i < r; ++i) {
@@ -53,7 +52,7 @@ bool is_probable_prime(const BigInt& n, Rng64& rng, int rounds) {
   const BigInt three(3);
   for (int i = 0; i < rounds; ++i) {
     const BigInt base = random_below(rng, n - three) + BigInt(2);  // [2, n-2]
-    if (!miller_rabin_once(mont, n, n_minus_1, d, r, base)) return false;
+    if (!miller_rabin_once(mont, n_minus_1, d, r, base)) return false;
   }
   return true;
 }

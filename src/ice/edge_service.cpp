@@ -119,9 +119,7 @@ void EdgeService::on_share_blind(net::Reader& r, net::Writer&) {
 
 void EdgeService::on_challenge(net::Reader& r, net::Writer& w) {
   const std::uint64_t session = r.u64();
-  Challenge chal;
-  chal.e = r.bigint();
-  chal.g_s = r.bigint();
+  const Challenge chal = read_challenge(r, pk_.n);
   r.expect_done();
   auto blinding = blindings_.extract(session);  // one-shot
   if (!blinding) {
@@ -234,8 +232,7 @@ Proof EdgeClient::challenge(std::uint64_t session_id,
                             const Challenge& chal) const {
   net::Writer w;
   w.u64(session_id);
-  w.bigint(chal.e);
-  w.bigint(chal.g_s);
+  write_challenge(w, chal);
   const net::PooledBytes raw = net::call_pooled(*channel_, kEdgeChallenge, std::move(w));
   net::Reader r = unwrap(raw);
   Proof proof;

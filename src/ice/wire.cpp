@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/error.h"
 
@@ -277,6 +278,40 @@ pir::ShardedPirResponse read_sharded_response(net::Reader& r) {
     resp.shards.push_back(std::move(s));
   }
   return resp;
+}
+
+void write_challenge(net::Writer& w, const Challenge& chal) {
+  w.bigint(chal.e);
+  w.varint(chal.rungs());
+  w.varint(chal.digit_bits);
+  w.bigint(chal.g_s);
+  for (const bn::BigInt& h : chal.ladder) w.bigint(h);
+}
+
+Challenge read_challenge(net::Reader& r, const bn::BigInt& n) {
+  Challenge chal;
+  chal.e = r.bigint();
+  const std::uint64_t rungs = r.varint();
+  if (rungs == 0 || rungs > kMaxLadder) {
+    throw CodecError("read_challenge: implausible rung count");
+  }
+  // i * L for i < kMaxLadder must fit a size_t.
+  const std::uint64_t digit_bits = r.varint();
+  if (digit_bits == 0 ||
+      digit_bits > std::numeric_limits<std::size_t>::max() / kMaxLadder) {
+    throw CodecError("read_challenge: implausible digit width");
+  }
+  chal.digit_bits = static_cast<std::size_t>(digit_bits);
+  chal.ladder.resize(static_cast<std::size_t>(rungs) - 1);
+  for (std::size_t i = 0; i < rungs; ++i) {
+    bn::BigInt& h = i == 0 ? chal.g_s : chal.ladder[i - 1];
+    h = r.bigint();
+    if (h.sign() <= 0 || h >= n) {
+      throw net::ServiceError(net::Status::kInvalidArgument,
+                              "challenge rung out of range [1, N)");
+    }
+  }
+  return chal;
 }
 
 void write_bigint_list(net::Writer& w, const std::vector<bn::BigInt>& v) {

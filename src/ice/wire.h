@@ -35,14 +35,16 @@ enum Method : std::uint16_t {
   kEdgeWrite = 201,           // (index, block) -> (); dirty write
   kEdgeIndexQuery = 202,      // () -> sorted S_j   [paper IndexQuery]
   kEdgeShareBlind = 203,      // (session_id, s~) -> ()
-  kEdgeChallenge = 204,       // (session_id, e, g_s) -> (proof)
+  kEdgeChallenge = 204,       // (session_id, e, t, L, h_0..h_{t-1}) ->
+                              // (proof); h_0 = g_s, h_i = g_s^{2^{iL}}
   kEdgeBatchChallenge = 205,  // (batch_id, e_j, g_s) -> (); proof goes to TPA
   kEdgeFlush = 206,           // () -> (blocks written back)
   kEdgeSubsetProof = 207,     // (e, g_s, [index]...) -> (proof); owner-driven
                               // subset challenge used by localization
 
   // TPA service
-  kTpaSetKey = 300,         // (N, g, coeff_bits, key_bits) -> ()
+  kTpaSetKey = 300,         // (N, g, coeff_bits, key_bits, block_bytes)
+                            // -> (); block_bytes sizes the ladder
   kTpaStoreTags = 301,      // ([tag]...) -> ()
   // 302 was the single-shard tag query; retired, do not reuse.
   kTpaStartAudit = 303,     // (edge_id, session_id) -> ()
@@ -108,6 +110,15 @@ class ShardedResponseWriter final : public pir::ShardResponseSink {
   std::uint8_t* frame_ = nullptr;      // start of the shard slices in w_
   std::vector<std::size_t> offsets_;   // slice i spans [offsets_[i], [i+1])
 };
+
+/// The kEdgeChallenge body after the session id: e, the rung count t, the
+/// digit width L, then the rungs h_0 = g_s, h_1..h_{t-1}.
+void write_challenge(net::Writer& w, const Challenge& chal);
+/// Decodes write_challenge's form for the modulus `n`. Throws CodecError
+/// (kMalformed) when t is 0 or above kMaxLadder, or when L is 0 or so
+/// large that i * L could overflow for some rung i; throws ServiceError
+/// kInvalidArgument when a rung lies outside [1, n).
+Challenge read_challenge(net::Reader& r, const bn::BigInt& n);
 
 void write_bigint_list(net::Writer& w, const std::vector<bn::BigInt>& v);
 std::vector<bn::BigInt> read_bigint_list(net::Reader& r);

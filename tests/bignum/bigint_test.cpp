@@ -229,8 +229,9 @@ TEST(BigIntTest, AbsAndNegate) {
 }
 
 TEST(BigIntTest, ToU64OutOfRangeThrows) {
-  EXPECT_THROW(BigInt(-1).to_u64(), ParamError);
-  EXPECT_THROW(BigInt::from_hex("10000000000000000").to_u64(), ParamError);
+  EXPECT_THROW((void)BigInt(-1).to_u64(), ParamError);
+  EXPECT_THROW((void)BigInt::from_hex("10000000000000000").to_u64(),
+               ParamError);
   EXPECT_EQ(BigInt(0).to_u64(), 0u);
 }
 

@@ -43,7 +43,7 @@ TEST(ScratchArenaTest, NestedLeasesAreIndependent) {
     ASSERT_NE(inner.data(), outer.data());
     std::memset(inner.data(), 0xcd, 32 * sizeof(std::uint64_t));
   }
-  EXPECT_EQ(outer.data()[0], 0xabababababababababULL);
+  EXPECT_EQ(outer.data()[0], 0xababababababababULL);
 }
 
 TEST(ScratchArenaTest, TakeZeroedZeroesExactlyTheRequestedWords) {

@@ -8,6 +8,7 @@
 // The shared abuse corpus pins the reactor's connection fates.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -129,6 +130,43 @@ std::vector<WireCase> scripted_corpus() {
       corpus.push_back({method, payload});
     }
   }
+  // Well-framed kEdgeChallenge bodies (session, e, t, L, rungs): hostile
+  // ladder shapes, then a valid one for a session with no blinding.
+  const KeyPair keys = ice::testing::test_keypair_256();
+  const auto challenge = [](std::uint64_t t, std::uint64_t digit_bits,
+                            const std::vector<bn::BigInt>& rungs) {
+    net::Writer w;
+    w.u64(5);
+    w.bigint(bn::BigInt(3));
+    w.varint(t);
+    w.varint(digit_bits);
+    for (const auto& h : rungs) w.bigint(h);
+    return w.take();
+  };
+  const std::vector<bn::BigInt> two = {bn::BigInt(4), bn::BigInt(16)};
+  corpus.push_back({kEdgeChallenge, challenge(0, 8, {})});
+  corpus.push_back({kEdgeChallenge, challenge(kMaxLadder + 1, 8, two)});
+  corpus.push_back({kEdgeChallenge, challenge(2, 0, two)});
+  corpus.push_back({kEdgeChallenge, challenge(2, ~std::uint64_t{0}, two)});
+  corpus.push_back(
+      {kEdgeChallenge, challenge(2, 8, {bn::BigInt(4), keys.pk.n})});
+  corpus.push_back({kEdgeChallenge, challenge(2, 8, two)});
+  // kTpaSetKey bodies (N, g, coeff_bits, key_bits, block_bytes): an
+  // implausible block size, the old four-field form, then a valid key
+  // (both deployments replay it, so their TPA state stays in step).
+  const auto set_key = [&](std::optional<std::uint64_t> block_bytes) {
+    net::Writer w;
+    w.bigint(keys.pk.n);
+    w.bigint(keys.pk.g);
+    w.varint(64);
+    w.varint(128);
+    if (block_bytes) w.varint(*block_bytes);
+    return w.take();
+  };
+  corpus.push_back({kTpaSetKey, set_key(0)});
+  corpus.push_back({kTpaSetKey, set_key(kMaxBlockBytes + 1)});
+  corpus.push_back({kTpaSetKey, set_key(std::nullopt)});
+  corpus.push_back({kTpaSetKey, set_key(64)});
   return corpus;
 }
 

@@ -4,6 +4,7 @@
 // honest traffic, stop-while-busy, and admission-limit churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -26,9 +27,9 @@ class EchoHandler final : public RpcHandler {
  public:
   Bytes handle(std::uint16_t method, BytesView request) override {
     ++calls;
-    Bytes out;
-    out.push_back(static_cast<std::uint8_t>(method));
-    out.insert(out.end(), request.begin(), request.end());
+    Bytes out(1 + request.size());
+    out[0] = static_cast<std::uint8_t>(method);
+    std::copy(request.begin(), request.end(), out.begin() + 1);
     return out;
   }
   std::atomic<int> calls{0};
