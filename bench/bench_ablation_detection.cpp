@@ -37,8 +37,8 @@ bool sampled_audit(const proto::KeyPair& keys,
     chosen_tags.push_back(tags[order[i]]);
   }
   proto::ChallengeSecret secret;
-  const proto::Challenge chal =
-      proto::make_challenge(keys.pk, params, rng, secret);
+  const proto::Challenge chal = proto::make_challenge(
+      proto::ChallengeLadder(keys.pk, params), params, rng, secret);
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   const proto::Proof proof =
       proto::make_proof(keys.pk, params, chosen_blocks, chal, s_tilde);

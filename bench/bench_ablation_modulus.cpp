@@ -44,8 +44,9 @@ int main(int argc, char** argv) {
 
     proto::ChallengeSecret secret;
     proto::Challenge chal;
+    const proto::ChallengeLadder ladder(keys.pk, params);  // built at set_key
     const double chal_ms = 1e3 * time_median(reps, [&] {
-      chal = proto::make_challenge(keys.pk, params, rng, secret);
+      chal = proto::make_challenge(ladder, params, rng, secret);
     });
     const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
     proto::Proof proof;

@@ -97,8 +97,10 @@ int main(int argc, char** argv) {
   std::vector<bn::BigInt> tags(10);
   for (auto& t : tags) t = bn::random_below(rng, keys.pk.n);
   proto::ChallengeSecret secret;
-  const proto::Challenge chal =
-      proto::make_challenge(keys.pk, params, rng, secret);
+  // Verification reads only e: a one-rung ladder will do.
+  const proto::Challenge chal = proto::make_challenge(
+      proto::ChallengeLadder(keys.pk, proto::LadderShape{}), params, rng,
+      secret);
   proto::Proof proof;
   proof.p = bn::BigInt(1);
   const PathResult verify =

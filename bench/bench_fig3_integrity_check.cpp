@@ -31,8 +31,9 @@ Timing measure(const proto::KeyPair& keys, const proto::ProtocolParams& params,
   Timing t{};
   proto::ChallengeSecret secret;
   proto::Challenge chal;
+  const proto::ChallengeLadder ladder(keys.pk, params);  // built at set_key
   t.challenge_ms = 1e3 * time_median(5, [&] {
-    chal = proto::make_challenge(keys.pk, params, rng, secret);
+    chal = proto::make_challenge(ladder, params, rng, secret);
   });
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   const proto::Proof proof =

@@ -43,13 +43,16 @@ OnlineCell measure_online_split(std::size_t modulus_bits,
   bn::Rng64Adapter rng(gen);
   OnlineCell cell;
 
-  // Cold phase, per audit: the challenge draws + g^s + expansion.
+  // Cold phase, per audit: the challenge draws + the rungs + expansion.
+  // The ladder itself is built once per key, at set_key.
+  const auto ladder = std::make_shared<const proto::ChallengeLadder>(
+      keys.pk, params);
   {
     proto::ChallengeSecret secret;
     Stopwatch sw;
     for (int i = 0; i < reps; ++i) {
       const proto::Challenge chal =
-          proto::make_challenge(keys.pk, params, rng, secret);
+          proto::make_challenge(*ladder, params, rng, secret);
       (void)crypto::CoefficientPrf::expand(chal.e, params.coeff_bits,
                                            coeff_count);
     }
@@ -64,11 +67,11 @@ OnlineCell measure_online_split(std::size_t modulus_bits,
     config.pool_capacity = static_cast<std::size_t>(reps);
     config.coeff_count = coeff_count;
     proto::ChallengePool pool(config);
-    pool.rekey(keys.pk, params);
+    pool.rekey(ladder, params);
     const std::uint64_t gen_now = pool.generation();
     for (int i = 0; i < reps; ++i) {
       proto::ChallengeBundle bundle =
-          proto::make_bundle(keys.pk, params, rng, coeff_count);
+          proto::make_bundle(*ladder, params, rng, coeff_count);
       bundle.generation = gen_now;
       if (!pool.offer(std::move(bundle))) {
         std::fprintf(stderr, "FATAL: prefill offer rejected\n");

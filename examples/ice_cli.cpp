@@ -100,8 +100,8 @@ int cmd_verify(int argc, char** argv) {
   params.block_bytes = block_bytes;
   crypto::Csprng rng;
   proto::ChallengeSecret secret;
-  const proto::Challenge chal =
-      proto::make_challenge(keys.pk, params, rng, secret);
+  const proto::Challenge chal = proto::make_challenge(
+      proto::ChallengeLadder(keys.pk, params), params, rng, secret);
   const bn::BigInt s_tilde = proto::draw_blinding(keys.pk, rng);
   Stopwatch sw;
   const proto::Proof proof =

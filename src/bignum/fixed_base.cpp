@@ -127,28 +127,38 @@ void FixedBase::pow_into(BigInt& out, const BigInt& exp) const {
 std::shared_ptr<const FixedBase> Montgomery::fixed_base(
     const BigInt& base, std::size_t min_exp_bits) const {
   const BigInt key = reduce(base);
+  // A comb costs ~capacity / teeth products per pow whatever the exponent,
+  // so a far larger comb is no substitute: TagGen's block-sized comb of g
+  // would turn every |N|-bit g^s into ~capacity / 10 steps. A comb serves
+  // a request only up to kMaxOversize times the capacity it asks for, and
+  // one base keeps a comb per width class (TagGen's beside the |N|-bit one).
+  const std::size_t max_cap = kMaxOversize * round_capacity(min_exp_bits);
+  const auto best = [&]() -> const FbEntry* {
+    const FbEntry* found = nullptr;
+    for (const auto& e : fb_cache_) {
+      const std::size_t cap = e.comb->capacity_bits();
+      if (e.base == key && cap >= min_exp_bits && cap <= max_cap &&
+          (found == nullptr || cap < found->comb->capacity_bits())) {
+        found = &e;
+      }
+    }
+    return found;
+  };
   {
     std::shared_lock lock(fb_mu_);
-    for (const auto& e : fb_cache_) {
-      if (e.base == key && e.comb->capacity_bits() >= min_exp_bits) {
-        e.last_use.store(
-            fb_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-        return e.comb;
-      }
+    if (const FbEntry* e = best()) {
+      e->last_use.store(fb_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
+      return e->comb;
     }
   }
   auto fresh = std::make_shared<const FixedBase>(*this, key, min_exp_bits);
   std::unique_lock lock(fb_mu_);
   const std::uint64_t stamp =
       fb_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (auto& e : fb_cache_) {
-    if (e.base == key) {
-      e.last_use.store(stamp, std::memory_order_relaxed);
-      if (e.comb->capacity_bits() >= min_exp_bits) return e.comb;
-      e.comb = fresh;  // rebuilt bigger: replace the stale entry
-      return fresh;
-    }
+  if (const FbEntry* e = best()) {  // another thread built one meanwhile
+    e->last_use.store(stamp, std::memory_order_relaxed);
+    return e->comb;
   }
   if (fb_cache_.size() >= kMaxCachedBases) {
     // LRU eviction: drop the entry with the stalest use stamp.

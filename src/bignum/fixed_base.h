@@ -9,9 +9,10 @@
 // one bit from each of the h exponent blocks per column, so the whole
 // squaring chain shrinks by the factor h.
 //
-// Tables are built once per (context, base) and cached on the Montgomery
-// context itself (Montgomery::fixed_base); callers on the protocol hot
-// paths never construct combs directly.
+// Tables are built once per (context, base, width class) and cached on the
+// Montgomery context itself (Montgomery::fixed_base). The only comb built
+// outside that cache is the challenge ladder's (ice/protocol.h), which
+// owns the combs of its per-key bases g^{2^{iL}} for as long as the key.
 #pragma once
 
 #include <cstddef>

@@ -145,17 +145,24 @@ class Montgomery {
   }
 
   /// Cached Lim-Lee comb for `base`, able to take exponents of at least
-  /// `min_exp_bits` bits. Built lazily (and rebuilt bigger when a longer
-  /// exponent shows up); the handle stays valid after eviction. The comb
-  /// borrows this context, so it must not outlive it — handles obtained
-  /// from a `shared()` context live for the whole process. Bounded LRU,
-  /// same discipline as shared().
+  /// `min_exp_bits` bits and sized for them: the smallest cached comb of
+  /// the base whose capacity is at most kMaxOversize times the request
+  /// (rounded up to the comb's 256-bit step), else a fresh one. One base
+  /// can thus hold several combs, e.g. TagGen's block-sized one and the
+  /// |N|-bit one of the challenge paths. Built lazily; the handle stays
+  /// valid after eviction. The comb borrows this context, so it must not
+  /// outlive it — handles obtained from a `shared()` context live for the
+  /// whole process. Bounded LRU over (base, width) entries, same
+  /// discipline as shared().
   [[nodiscard]] std::shared_ptr<const FixedBase> fixed_base(
       const BigInt& base, std::size_t min_exp_bits) const;
   /// Current entry count of the comb cache (for cache-bound tests).
   [[nodiscard]] std::size_t fixed_base_cache_size() const;
   /// Capacity bound of the per-context comb cache.
   static constexpr std::size_t kMaxCachedBases = 8;
+  /// Largest capacity, relative to the request, a cached comb may have
+  /// and still serve it.
+  static constexpr std::size_t kMaxOversize = 2;
 
  private:
   std::size_t k_;      // limb count of modulus
@@ -170,9 +177,10 @@ class Montgomery {
   // CPU has BMI2, else the portable pair. Picked once by the constructor.
   detail::Kernels kernels_;
 
-  // Small per-context comb cache keyed by base value (linear scan; there
-  // are only ever a handful of long-lived bases per modulus). Hits bump the
-  // entry's use stamp under the shared lock; eviction drops the stalest.
+  // Small per-context comb cache keyed by base value and width (linear
+  // scan; there are only ever a handful of long-lived combs per modulus).
+  // Hits bump the entry's use stamp under the shared lock; eviction drops
+  // the stalest.
   struct FbEntry {
     BigInt base;
     std::shared_ptr<const FixedBase> comb;

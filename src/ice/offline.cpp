@@ -7,10 +7,11 @@
 
 namespace ice::proto {
 
-ChallengeBundle make_bundle(const PublicKey& pk, const ProtocolParams& params,
-                            bn::Rng64& rng, std::size_t coeff_count) {
+ChallengeBundle make_bundle(const ChallengeLadder& ladder,
+                            const ProtocolParams& params, bn::Rng64& rng,
+                            std::size_t coeff_count) {
   ChallengeBundle bundle;
-  bundle.challenge = make_challenge(pk, params, rng, bundle.secret);
+  bundle.challenge = make_challenge(ladder, params, rng, bundle.secret);
   if (coeff_count > 0) {
     bundle.coeffs = crypto::CoefficientPrf::expand(
         bundle.challenge.e, params.coeff_bits, coeff_count);
@@ -32,8 +33,9 @@ ChallengePool::ChallengePool(const OfflineConfig& config)
   }
 }
 
-std::uint64_t ChallengePool::rekey(const PublicKey& pk,
-                                   const ProtocolParams& params) {
+std::uint64_t ChallengePool::rekey(
+    std::shared_ptr<const ChallengeLadder> ladder,
+    const ProtocolParams& params) {
   // Order matters: bump the generation FIRST so a producer that snapshotted
   // the old spec gets its subsequent offers refused, then drop the bundles
   // it already delivered, then publish the new spec.
@@ -44,7 +46,7 @@ std::uint64_t ChallengePool::rekey(const PublicKey& pk,
     shard->bundles.clear();
   }
   std::lock_guard lock(spec_mu_);
-  spec_.emplace(pk, params);
+  spec_.emplace(std::move(ladder), params);
   return gen;
 }
 
@@ -65,7 +67,7 @@ std::optional<ChallengePool::MintSpec> ChallengePool::mint_spec() const {
   std::lock_guard lock(spec_mu_);
   if (!spec_) return std::nullopt;
   MintSpec spec;
-  spec.pk = spec_->first;
+  spec.ladder = spec_->first;
   spec.params = spec_->second;
   spec.coeff_count = coeff_count_;
   spec.generation = gen;
@@ -199,7 +201,7 @@ void OfflineWorker::refill() {
     const auto spec = pool_->mint_spec();
     if (!spec || pool_->full()) break;
     ChallengeBundle bundle =
-        make_bundle(spec->pk, spec->params, *rng_, spec->coeff_count);
+        make_bundle(*spec->ladder, spec->params, *rng_, spec->coeff_count);
     bundle.generation = spec->generation;
     (void)pool_->offer(std::move(bundle));
   }

@@ -23,6 +23,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -40,17 +41,18 @@ namespace ice::proto {
 /// coefficient expansion of e (a prefix of any shorter expansion, so the
 /// online verify slices the first |S_j| entries).
 struct ChallengeBundle {
-  Challenge challenge;             // (e, g^s)
+  Challenge challenge;             // (e, g^s) plus the ladder
   ChallengeSecret secret;          // s
   std::vector<bn::BigInt> coeffs;  // a_1..a_{coeff_count} expanded from e
   std::uint64_t generation = 0;    // pool generation this was minted under
 };
 
 /// Mints one bundle exactly as the cold path would: make_challenge (same
-/// RNG draw order), then CoefficientPrf::expand of the drawn e. The caller
-/// stamps the generation.
-ChallengeBundle make_bundle(const PublicKey& pk, const ProtocolParams& params,
-                            bn::Rng64& rng, std::size_t coeff_count);
+/// RNG draw order, same ladder), then CoefficientPrf::expand of the drawn
+/// e. The caller stamps the generation.
+ChallengeBundle make_bundle(const ChallengeLadder& ladder,
+                            const ProtocolParams& params, bn::Rng64& rng,
+                            std::size_t coeff_count);
 
 /// Snapshot of the pool's hit/miss/refill surface (HitCounter-style; see
 /// common/stats.h). `hits`/`misses` count online acquire outcomes; `minted`
@@ -96,7 +98,7 @@ class ChallengePool {
 
   /// What a producer needs to mint bundles the pool will accept right now.
   struct MintSpec {
-    PublicKey pk;
+    std::shared_ptr<const ChallengeLadder> ladder;  // carries the key
     ProtocolParams params;
     std::size_t coeff_count = 0;
     std::uint64_t generation = 0;
@@ -104,8 +106,10 @@ class ChallengePool {
 
   /// Key or protocol parameters changed: bump the generation (so in-flight
   /// mints become stale), drop every stored bundle, and install the new
-  /// mint spec. Returns the new generation.
-  std::uint64_t rekey(const PublicKey& pk, const ProtocolParams& params);
+  /// mint spec: the new key's challenge ladder and parameters. Returns the
+  /// new generation.
+  std::uint64_t rekey(std::shared_ptr<const ChallengeLadder> ladder,
+                      const ProtocolParams& params);
 
   /// Bump the generation and drop bundles without installing a new spec
   /// (key revoked, no replacement yet): mint_spec() goes empty.
@@ -150,7 +154,9 @@ class ChallengePool {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex spec_mu_;
-  std::optional<std::pair<PublicKey, ProtocolParams>> spec_;
+  std::optional<std::pair<std::shared_ptr<const ChallengeLadder>,
+                          ProtocolParams>>
+      spec_;
 };
 
 /// Background producer: refills a ChallengePool during idle cycles on the

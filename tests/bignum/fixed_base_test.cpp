@@ -115,6 +115,31 @@ TEST(FixedBaseCacheTest, ContextCachesAndRebuildsBigger) {
   EXPECT_EQ(mont->fixed_base(g + n, 50)->pow(e), big->pow(e));
 }
 
+TEST(FixedBaseCacheTest, ShortExponentsGetACombOfTheirOwnWidth) {
+  // TagGen builds g's block-sized comb first; a |N|-bit g^s afterwards
+  // must get an |N|-bit comb (~|N| / h columns), not walk the block comb's
+  // ~block / h columns. Both widths stay cached side by side.
+  const BigInt n = fixture_modulus(256);
+  const Montgomery mont(n);
+  SplitMix64 gen(64);
+  Rng64Adapter rng(gen);
+  const BigInt g = random_unit(rng, n);
+
+  const auto block = mont.fixed_base(g, 8 * 4096);
+  const auto secret = mont.fixed_base(g, n.bit_length());
+  EXPECT_NE(secret.get(), block.get());
+  EXPECT_GE(secret->capacity_bits(), n.bit_length());
+  EXPECT_LT(secret->capacity_bits(), 4 * n.bit_length());
+  EXPECT_EQ(mont.fixed_base_cache_size(), 2u);
+  // Each width is served from its own entry from now on.
+  EXPECT_EQ(mont.fixed_base(g, n.bit_length()).get(), secret.get());
+  EXPECT_EQ(mont.fixed_base(g, 8 * 4096 - 100).get(), block.get());
+  EXPECT_EQ(mont.fixed_base_cache_size(), 2u);
+  const BigInt s = random_bits(rng, n.bit_length());
+  EXPECT_EQ(secret->pow(s), block->pow(s));
+  EXPECT_EQ(secret->pow(s), mont.pow(g, s));
+}
+
 TEST(FixedBaseCacheTest, TagGenShapedExponents) {
   // The TagGen workload: block-sized exponents far longer than the modulus.
   const BigInt n = fixture_modulus(512);

@@ -41,6 +41,7 @@ class ParallelDiffTest : public ::testing::Test {
   ProtocolParams params_;
   KeyPair keys_;
   TagGenerator tagger_;
+  ChallengeLadder ladder_{keys_.pk, params_};
   SplitMix64 gen_{0x9a11};
   bn::Rng64Adapter<SplitMix64> rng_{gen_};
 };
@@ -48,7 +49,7 @@ class ParallelDiffTest : public ::testing::Test {
 TEST_F(ParallelDiffTest, ProofBitExactAtEveryThreadCount) {
   const auto blocks = ice::testing::make_blocks(9, 256, 21);
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+  const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
   const bn::BigInt s_tilde = draw_blinding(keys_.pk, rng_);
   const Proof serial = make_proof(keys_.pk, params_, blocks, chal, s_tilde);
   for (std::size_t t : tested_thread_counts()) {
@@ -117,7 +118,7 @@ TEST_F(ParallelDiffTest, VerifySameVerdictAtEveryThreadCount) {
   auto blocks = ice::testing::make_blocks(10, 256, 50);
   const auto tags = tagger_.tag_all(blocks);
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+  const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
   const bn::BigInt s_tilde = draw_blinding(keys_.pk, rng_);
   const Proof good = make_proof(keys_.pk, params_, blocks, chal, s_tilde);
   blocks[4][7] ^= 0x20;  // single bit flip

@@ -38,7 +38,9 @@ class ProtocolSweepTest : public ::testing::TestWithParam<SweepPoint> {
   /// Full round; optional tamper hook on the edge's blocks.
   bool round(std::vector<Bytes> blocks, const std::vector<bn::BigInt>& tags) {
     ChallengeSecret secret;
-    const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+    const Challenge chal =
+        make_challenge(ChallengeLadder(keys_.pk, params_), params_, rng_,
+                       secret);
     const bn::BigInt s_tilde = draw_blinding(keys_.pk, rng_);
     const Proof proof =
         make_proof(keys_.pk, params_, blocks, chal, s_tilde);
@@ -101,7 +103,8 @@ TEST(CoefficientWidthTest, UnitCoefficientsMissReordering) {
   const auto tags = tagger.tag_all(blocks);
   std::swap(blocks[0], blocks[3]);
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(keys.pk, params, rng, secret);
+  const Challenge chal =
+      make_challenge(ChallengeLadder(keys.pk, params), params, rng, secret);
   const bn::BigInt s_tilde = draw_blinding(keys.pk, rng);
   const Proof proof = make_proof(keys.pk, params, blocks, chal, s_tilde);
   EXPECT_TRUE(verify_proof(keys.pk, params,

@@ -24,7 +24,7 @@ class ProtocolTest : public ::testing::Test {
   bool run_round(const std::vector<Bytes>& edge_blocks,
                  const std::vector<bn::BigInt>& tags_for_subset) {
     ChallengeSecret secret;
-    const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+    const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
     const bn::BigInt s_tilde = draw_blinding(keys_.pk, rng_);
     const Proof proof =
         make_proof(keys_.pk, params_, edge_blocks, chal, s_tilde);
@@ -35,6 +35,7 @@ class ProtocolTest : public ::testing::Test {
   ProtocolParams params_;
   KeyPair keys_;
   TagGenerator tagger_;
+  ChallengeLadder ladder_{keys_.pk, params_};
   SplitMix64 gen_{0xabc};
   bn::Rng64Adapter<SplitMix64> rng_{gen_};
 };
@@ -96,7 +97,7 @@ TEST_F(ProtocolTest, UpdatedTagPathAccepts) {
   blocks[1] = new_content;  // edge has the updated block
 
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+  const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
   const bn::BigInt s_tilde = draw_blinding(keys_.pk, rng_);
   const Proof proof = make_proof(keys_.pk, params_, blocks, chal, s_tilde);
   auto repacked = repack_tags(keys_.pk, tags, s_tilde);
@@ -109,7 +110,7 @@ TEST_F(ProtocolTest, WrongBlindingDetected) {
   const auto blocks = ice::testing::make_blocks(3, 128, 10);
   const auto tags = tagger_.tag_all(blocks);
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+  const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
   const bn::BigInt s1 = draw_blinding(keys_.pk, rng_);
   const bn::BigInt s2 = draw_blinding(keys_.pk, rng_);
   ASSERT_NE(s1, s2);
@@ -125,9 +126,9 @@ TEST_F(ProtocolTest, ReplayedProofFromOldChallengeDetected) {
   const bn::BigInt s_tilde = draw_blinding(keys_.pk, rng_);
   ChallengeSecret secret_old, secret_new;
   const Challenge old_chal =
-      make_challenge(keys_.pk, params_, rng_, secret_old);
+      make_challenge(ladder_, params_, rng_, secret_old);
   const Challenge new_chal =
-      make_challenge(keys_.pk, params_, rng_, secret_new);
+      make_challenge(ladder_, params_, rng_, secret_new);
   const Proof stale = make_proof(keys_.pk, params_, blocks, old_chal,
                                  s_tilde);
   const auto repacked = repack_tags(keys_.pk, tags, s_tilde);
@@ -139,7 +140,7 @@ TEST_F(ProtocolTest, ForgedProofConstantDetected) {
   const auto blocks = ice::testing::make_blocks(3, 128, 12);
   const auto tags = tagger_.tag_all(blocks);
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+  const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
   const bn::BigInt s_tilde = draw_blinding(keys_.pk, rng_);
   Proof forged;
   forged.p = bn::BigInt(1);
@@ -151,7 +152,7 @@ TEST_F(ProtocolTest, ForgedProofConstantDetected) {
 TEST_F(ProtocolTest, ChallengeKeyInRangeAndNonzero) {
   for (int i = 0; i < 20; ++i) {
     ChallengeSecret secret;
-    const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+    const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
     EXPECT_FALSE(chal.e.is_zero());
     EXPECT_LE(chal.e.bit_length(), params_.challenge_key_bits);
     EXPECT_FALSE(secret.s.is_zero());
@@ -161,7 +162,7 @@ TEST_F(ProtocolTest, ChallengeKeyInRangeAndNonzero) {
 
 TEST_F(ProtocolTest, EmptyInputsRejected) {
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(keys_.pk, params_, rng_, secret);
+  const Challenge chal = make_challenge(ladder_, params_, rng_, secret);
   EXPECT_THROW(
       make_proof(keys_.pk, params_, {}, chal, bn::BigInt(2)), ParamError);
   EXPECT_THROW(make_proof(keys_.pk, params_,
@@ -179,7 +180,8 @@ TEST_F(ProtocolTest, LargerModulusRoundWorks) {
   const auto blocks = ice::testing::make_blocks(3, 256, 13);
   const auto tags = tagger.tag_all(blocks);
   ChallengeSecret secret;
-  const Challenge chal = make_challenge(kp.pk, params_, rng_, secret);
+  const Challenge chal =
+      make_challenge(ChallengeLadder(kp.pk, params_), params_, rng_, secret);
   const bn::BigInt s_tilde = draw_blinding(kp.pk, rng_);
   const Proof proof = make_proof(kp.pk, params_, blocks, chal, s_tilde);
   const auto repacked = repack_tags(kp.pk, tags, s_tilde);
