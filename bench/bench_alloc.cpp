@@ -170,6 +170,6 @@ int main(int argc, char** argv) {
       entry(tag_all, kPr4TagAllUs, kPr4TagAllAllocs) +
       ", \"pir_respond_m16\": " +
       entry(respond, kPr4RespondUs, kPr4RespondAllocs) + "}";
-  emit_parallel_json("alloc", body, "BENCH_alloc.json");
+  emit_json("alloc", body, "BENCH_alloc.json");
   return 0;
 }

@@ -126,7 +126,7 @@ void run_thread_sweep() {
     body += (i ? ", " : "") + json_array(seconds[i]);
   }
   body += "]}";
-  emit_parallel_json("fig2_tag_response", body);
+  emit_json("fig2_tag_response", body, "BENCH_parallel.json");
 }
 
 }  // namespace

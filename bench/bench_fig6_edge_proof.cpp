@@ -114,7 +114,7 @@ void run_thread_sweep(const ice::proto::KeyPair& keys) {
   body += ", \"batch_round_seconds\": " + json_array(batch_s);
   body += ", \"batch_speedup_vs_serial\": " + json_array(speedup);
   body += "}";
-  emit_parallel_json("fig6_edge_proof", body);
+  emit_json("fig6_edge_proof", body, "BENCH_parallel.json");
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
          << ", \"online_us\": " << online.online_us
          << ", \"online_speedup\": " << online.speedup
          << ", \"pool_hit_rate\": " << online.hit_rate << "}";
-    emit_parallel_json("fleet_online_phase", body.str(), "BENCH_fleet.json");
+    emit_json("fleet_online_phase", body.str(), "BENCH_fleet.json");
   }
 
   // --- 2. Fleet rounds through the scheduler ---------------------------
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
            << ", \"staleness_bound\": " << report.staleness_bound << "}";
       std::ostringstream section;
       section << "fleet_sched_e" << edges;
-      emit_parallel_json(section.str(), body.str(), "BENCH_fleet.json");
+      emit_json(section.str(), body.str(), "BENCH_fleet.json");
     }
   }
   std::printf(

@@ -356,6 +356,6 @@ int main(int argc, char** argv) {
                      ", \"taggen200_s\": " + std::to_string(taggen) +
                      ", \"taggen200_pr1_s\": " +
                      std::to_string(kPr1TagGen200Seconds) + "}";
-  emit_parallel_json("modexp", body, "BENCH_modexp.json");
+  emit_json("modexp", body, "BENCH_modexp.json");
   return 0;
 }

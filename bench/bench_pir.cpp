@@ -37,19 +37,22 @@ pir::PirQuery make_query(const pir::Embedding& emb, std::size_t n,
   return client.encode(wanted, rng).queries[0];
 }
 
-Cell measure(const pir::PirServer& server, const pir::PirQuery& query,
+Cell measure(const pir::TagDatabase& db, const pir::Embedding& emb,
+             const pir::PirServer& server, const pir::PirQuery& query,
              int reps) {
   std::vector<pir::PirQuery> singles;
   for (const auto& q : query.points) singles.push_back(pir::PirQuery{{q}});
   Cell cell{};
-  const simd::XorTier best = simd::best_supported_tier();
   cell.loop_ms = 1e3 * time_median(reps, [&] {
     for (const auto& single : singles) (void)server.respond(single);
   });
-  simd::set_active_tier(simd::XorTier::kPortable);
-  cell.fused_portable_ms =
-      1e3 * time_median(reps, [&] { (void)server.respond(query); });
-  simd::set_active_tier(best);
+  const simd::XorKernels& portable =
+      simd::kernels_for(simd::XorTier::kPortable);
+  cell.fused_portable_ms = 1e3 * time_median(reps, [&] {
+    pir::PirResponse out;
+    pir::detail::respond_into(db, emb, /*parallelism=*/1, portable, query,
+                              out);
+  });
   cell.fused_ms =
       1e3 * time_median(reps, [&] { (void)server.respond(query); });
   return cell;
@@ -84,7 +87,7 @@ int main(int argc, char** argv) {
 
     for (std::size_t m : batch) {
       const pir::PirQuery query = make_query(emb, n, tag_bits, m, 11 * n + m);
-      const Cell cell = measure(server, query, smoke ? 1 : 5);
+      const Cell cell = measure(db, emb, server, query, smoke ? 1 : 5);
       const double speedup = cell.loop_ms / cell.fused_ms;
       const double simd_gain = cell.fused_portable_ms / cell.fused_ms;
       std::printf("%-7zu %-4zu %12.3f %12.3f %14.3f %8.2fx %8.2fx "
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
              << simd::tier_name(simd::best_supported_tier()) << "\"}";
         std::ostringstream section;
         section << "pir_bitsliced_n" << n << "_m" << m;
-        emit_parallel_json(section.str(), body.str(), "BENCH_pir.json");
+        emit_json(section.str(), body.str(), "BENCH_pir.json");
       }
     }
   }

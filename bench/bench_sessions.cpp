@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <thread>
 
@@ -558,30 +557,27 @@ int main(int argc, char** argv) {
   scale_sweep(scale_cfg, reactor_counts, scale_reactor);
 
   if (!smoke) {
-    std::ofstream out("BENCH_sessions.json", std::ios::trunc);
-    out << "{\n"
-        << "  \"sessions\": " << json_array(cfg.session_counts) << ",\n"
-        << "  \"audits_per_session\": " << cfg.audits_per_session << ",\n"
-        << "  \"modulus_bits\": " << cfg.modulus_bits << ",\n"
-        << "  \"modeled_one_way_latency_s\": " << cfg.one_way_latency_s
-        << ",\n"
-        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-        << ",\n"
-        << "  \"inproc_serialized_audits_per_s\": " << json_array(inproc_ser)
-        << ",\n"
-        << "  \"inproc_sharded_audits_per_s\": " << json_array(inproc_shard)
-        << ",\n"
-        << "  \"tcp_serialized_audits_per_s\": " << json_array(tcp_ser)
-        << ",\n"
-        << "  \"tcp_sharded_audits_per_s\": " << json_array(tcp_shard)
-        << ",\n"
-        << "  \"scale_modulus_bits\": " << scale_cfg.modulus_bits << ",\n"
-        << "  \"scale_lanes\": " << ScaleArm::kMaxLanes << ",\n"
-        << "  \"scale_reactor_sessions\": " << json_array(reactor_counts)
-        << ",\n"
-        << "  \"scale_reactor_audits_per_s\": " << json_array(scale_reactor)
-        << "\n}\n";
-    std::printf("[wrote BENCH_sessions.json]\n");
+    std::ostringstream lock_scope;
+    lock_scope << "{\"sessions\": " << json_array(cfg.session_counts)
+               << ", \"audits_per_session\": " << cfg.audits_per_session
+               << ", \"modulus_bits\": " << cfg.modulus_bits
+               << ", \"modeled_one_way_latency_s\": " << cfg.one_way_latency_s
+               << ", \"hardware_threads\": "
+               << std::thread::hardware_concurrency()
+               << ", \"inproc_serialized_audits_per_s\": "
+               << json_array(inproc_ser)
+               << ", \"inproc_sharded_audits_per_s\": "
+               << json_array(inproc_shard)
+               << ", \"tcp_serialized_audits_per_s\": " << json_array(tcp_ser)
+               << ", \"tcp_sharded_audits_per_s\": " << json_array(tcp_shard)
+               << "}";
+    emit_json("lock_scope", lock_scope.str(), "BENCH_sessions.json");
+    std::ostringstream scale;
+    scale << "{\"modulus_bits\": " << scale_cfg.modulus_bits
+          << ", \"lanes\": " << ScaleArm::kMaxLanes
+          << ", \"sessions\": " << json_array(reactor_counts)
+          << ", \"audits_per_s\": " << json_array(scale_reactor) << "}";
+    emit_json("reactor_scale", scale.str(), "BENCH_sessions.json");
   }
   return 0;
 }

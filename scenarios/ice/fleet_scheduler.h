@@ -25,7 +25,7 @@
 //     the protocol has no false negatives, detected) within max_staleness
 //     rounds of appearing.
 //
-// tests/ice/fleet_scheduler_test.cpp pins both bounds; sim/simulator.h
+// tests/scenarios/fleet_scheduler_test.cpp pins both bounds; sim/simulator.h
 // drives a full protocol fleet through this scheduler and
 // bench/bench_fleet.cpp measures rounds at 100-1000 edges.
 //

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "common/error.h"
 
@@ -33,25 +30,6 @@ void xor_row_portable(std::uint64_t* dst, const std::uint64_t* src,
     dst[j + 3] ^= src[j + 3];
   }
   for (; j < w; ++j) dst[j] ^= src[j];
-}
-
-void xor_row2_portable(std::uint64_t* lo, std::uint64_t* hi,
-                       const std::uint64_t* src, std::size_t w,
-                       std::uint8_t c) {
-  const std::uint64_t ml = 0 - static_cast<std::uint64_t>(c & 1u);
-  const std::uint64_t mh = 0 - static_cast<std::uint64_t>((c >> 1) & 1u);
-  std::size_t j = 0;
-  for (; j + 2 <= w; j += 2) {
-    const std::uint64_t s0 = src[j], s1 = src[j + 1];
-    lo[j] ^= s0 & ml;
-    lo[j + 1] ^= s1 & ml;
-    hi[j] ^= s0 & mh;
-    hi[j + 1] ^= s1 & mh;
-  }
-  if (j < w) {
-    lo[j] ^= src[j] & ml;
-    hi[j] ^= src[j] & mh;
-  }
 }
 
 void xor_scatter_portable(std::uint64_t* acc, const std::uint64_t* rows,
@@ -171,34 +149,6 @@ __attribute__((target("avx2"))) void xor_row_avx2(std::uint64_t* dst,
                         _mm256_xor_si256(d, s));
   }
   for (; j < w; ++j) dst[j] ^= src[j];
-}
-
-__attribute__((target("avx2"))) void xor_row2_avx2(std::uint64_t* lo,
-                                                   std::uint64_t* hi,
-                                                   const std::uint64_t* src,
-                                                   std::size_t w,
-                                                   std::uint8_t c) {
-  const std::uint64_t ml = 0 - static_cast<std::uint64_t>(c & 1u);
-  const std::uint64_t mh = 0 - static_cast<std::uint64_t>((c >> 1) & 1u);
-  const __m256i vml = _mm256_set1_epi64x(static_cast<long long>(ml));
-  const __m256i vmh = _mm256_set1_epi64x(static_cast<long long>(mh));
-  std::size_t j = 0;
-  for (; j + 4 <= w; j += 4) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + j));
-    const __m256i l =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lo + j),
-                        _mm256_xor_si256(l, _mm256_and_si256(s, vml)));
-    const __m256i h =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hi + j),
-                        _mm256_xor_si256(h, _mm256_and_si256(s, vmh)));
-  }
-  for (; j < w; ++j) {
-    lo[j] ^= src[j] & ml;
-    hi[j] ^= src[j] & mh;
-  }
 }
 
 __attribute__((target("avx2"))) void xor_scatter_avx2(
@@ -349,35 +299,6 @@ __attribute__((target("avx512f"))) void xor_row_avx512(
   }
 }
 
-__attribute__((target("avx512f"))) void xor_row2_avx512(
-    std::uint64_t* lo, std::uint64_t* hi, const std::uint64_t* src,
-    std::size_t w, std::uint8_t c) {
-  const std::uint64_t ml = 0 - static_cast<std::uint64_t>(c & 1u);
-  const std::uint64_t mh = 0 - static_cast<std::uint64_t>((c >> 1) & 1u);
-  const __m512i vml = _mm512_set1_epi64(static_cast<long long>(ml));
-  const __m512i vmh = _mm512_set1_epi64(static_cast<long long>(mh));
-  std::size_t j = 0;
-  for (; j + 8 <= w; j += 8) {
-    const __m512i s = _mm512_loadu_si512(src + j);
-    const __m512i l = _mm512_loadu_si512(lo + j);
-    _mm512_storeu_si512(lo + j,
-                        _mm512_xor_si512(l, _mm512_and_si512(s, vml)));
-    const __m512i h = _mm512_loadu_si512(hi + j);
-    _mm512_storeu_si512(hi + j,
-                        _mm512_xor_si512(h, _mm512_and_si512(s, vmh)));
-  }
-  if (j < w) {
-    const __mmask8 k = static_cast<__mmask8>((1u << (w - j)) - 1u);
-    const __m512i s = _mm512_maskz_loadu_epi64(k, src + j);
-    const __m512i l = _mm512_maskz_loadu_epi64(k, lo + j);
-    _mm512_mask_storeu_epi64(lo + j, k,
-                             _mm512_xor_si512(l, _mm512_and_si512(s, vml)));
-    const __m512i h = _mm512_maskz_loadu_epi64(k, hi + j);
-    _mm512_mask_storeu_epi64(hi + j, k,
-                             _mm512_xor_si512(h, _mm512_and_si512(s, vmh)));
-  }
-}
-
 __attribute__((target("avx512f"))) void xor_scatter_avx512(
     std::uint64_t* acc, const std::uint64_t* rows, std::size_t w,
     const std::uint64_t* entries, std::size_t count) {
@@ -481,20 +402,15 @@ __attribute__((target("avx512f,avx512bw"))) void spread_pair_avx512(
 #endif  // ICE_SIMD_X86
 
 constexpr XorKernels kPortableKernels = {
-    xor_row_portable,         xor_row2_portable,
-    xor_scatter_portable,     xor_scatter_single_portable,
-    spread_pair_portable,     XorTier::kPortable,
-    "portable"};
+    xor_row_portable, xor_scatter_portable, xor_scatter_single_portable,
+    spread_pair_portable, XorTier::kPortable, "portable"};
 #if defined(ICE_SIMD_X86)
 constexpr XorKernels kAvx2Kernels = {
-    xor_row_avx2,         xor_row2_avx2,  xor_scatter_avx2,
-    xor_scatter_single_avx2, spread_pair_avx2, XorTier::kAvx2,
-    "avx2"};
+    xor_row_avx2, xor_scatter_avx2, xor_scatter_single_avx2,
+    spread_pair_avx2, XorTier::kAvx2, "avx2"};
 constexpr XorKernels kAvx512Kernels = {
-    xor_row_avx512,           xor_row2_avx512,
-    xor_scatter_avx512,       xor_scatter_single_avx512,
-    spread_pair_avx512,       XorTier::kAvx512,
-    "avx512"};
+    xor_row_avx512, xor_scatter_avx512, xor_scatter_single_avx512,
+    spread_pair_avx512, XorTier::kAvx512, "avx512"};
 #endif
 
 XorTier probe_best_tier() {
@@ -508,28 +424,6 @@ XorTier probe_best_tier() {
   if (__builtin_cpu_supports("avx2")) return XorTier::kAvx2;
 #endif
   return XorTier::kPortable;
-}
-
-const XorKernels* initial_kernels() {
-  XorTier tier = best_supported_tier();
-  if (const char* env = std::getenv("ICE_SIMD")) {
-    const std::string_view want(env);
-    XorTier requested = tier;
-    if (want == "portable") {
-      requested = XorTier::kPortable;
-    } else if (want == "avx2") {
-      requested = XorTier::kAvx2;
-    } else if (want == "avx512") {
-      requested = XorTier::kAvx512;
-    }
-    if (tier_supported(requested)) tier = requested;
-  }
-  return &kernels_for(tier);
-}
-
-std::atomic<const XorKernels*>& active_slot() {
-  static std::atomic<const XorKernels*> slot{initial_kernels()};
-  return slot;
 }
 
 }  // namespace
@@ -561,13 +455,6 @@ const XorKernels& kernels_for(XorTier tier) {
 #endif
   }
   throw ParamError("simd::kernels_for: unknown tier");
-}
-
-const XorKernels& active_kernels() { return *active_slot().load(); }
-
-XorTier set_active_tier(XorTier tier) {
-  const XorKernels& next = kernels_for(tier);  // validates support
-  return active_slot().exchange(&next)->tier;
 }
 
 const char* tier_name(XorTier tier) {

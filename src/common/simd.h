@@ -3,14 +3,10 @@
 // The Woodruff–Yekhanin servers are pure XOR/scatter workloads: every hot
 // loop XORs a K-bit tag row (packed in 64-bit words) into an accumulator
 // plane. These kernels provide that operation in three tiers — portable
-// u64, AVX2 (256-bit) and AVX-512 (512-bit) — probed once at startup (as
-// bignum::Montgomery picks its kernel once per modulus) and selectable at
-// runtime so benches can compare tiers and tests can pin every tier to the
-// portable reference.
-//
-// All kernels are branch-free in the GF(4) coefficient: xor_row2 turns the
-// 2-bit coefficient into all-ones/all-zero word masks instead of branching,
-// so the per-row scatter of the fused batch sweep never mispredicts.
+// u64, AVX2 (256-bit) and AVX-512 (512-bit). The CPU is probed once and
+// pir::PirServer takes the best tier's bundle once, as bignum::Montgomery
+// picks its kernel once per modulus; kernels_for() hands out any supported
+// tier so tests and benches can pin every tier to the portable reference.
 #pragma once
 
 #include <cstddef>
@@ -26,19 +22,12 @@ struct XorKernels {
   /// dst[0..w) ^= src[0..w).
   void (*xor_row)(std::uint64_t* dst, const std::uint64_t* src,
                   std::size_t w);
-  /// Branchless two-plane scatter for one GF(4) coefficient c in [0, 3]:
-  ///   lo[0..w) ^= src & (-(c & 1)),  hi[0..w) ^= src & (-((c >> 1) & 1)).
-  /// XORing an all-zero mask is a no-op, so the result is bit-identical to
-  /// the branchy "skip zero coefficients" formulation.
-  void (*xor_row2)(std::uint64_t* lo, std::uint64_t* hi,
-                   const std::uint64_t* src, std::size_t w, std::uint8_t c);
   /// Sparse XOR scatter stream — the hot kernel of the fused batch sweep.
   /// Each entry packs two word offsets, dst | (src << 32), and requests
   ///   acc[dst .. dst + w) ^= rows[src .. src + w).
   /// The caller emits entries only for nonzero GF(4) coefficient
-  /// components (an omitted entry is exactly the zero-mask no-op of
-  /// xor_row2, so skipping is bit-identical to the branchless form), which
-  /// cuts the XOR work to the nonzero fraction on every tier. Entries with
+  /// components (a zero component would XOR nothing), which cuts the XOR
+  /// work to the nonzero fraction on every tier. Entries with
   /// equal dst may repeat; XOR is commutative and exact, so entry order
   /// never changes the result. Implementations detect RUNS of consecutive
   /// entries sharing a dst and fold them in registers before one writeback,
@@ -82,17 +71,6 @@ struct XorKernels {
 /// Kernel bundle for a specific tier. Throws ParamError when the CPU lacks
 /// the tier (callers gate on tier_supported()).
 [[nodiscard]] const XorKernels& kernels_for(XorTier tier);
-
-/// The process-wide active bundle: best_supported_tier() unless overridden
-/// by set_active_tier() or the ICE_SIMD environment variable
-/// ("portable" | "avx2" | "avx512", clamped to what the CPU supports).
-[[nodiscard]] const XorKernels& active_kernels();
-
-/// Overrides the active tier (benches compare tiers; tests pin the fused
-/// sweep bit-identical across them). Returns the previous tier. The slot is
-/// atomic, so concurrent active_kernels() readers are race-free, but calls
-/// are meant for startup / between evaluations, not mid-sweep.
-XorTier set_active_tier(XorTier tier);
 
 [[nodiscard]] const char* tier_name(XorTier tier);
 

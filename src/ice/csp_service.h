@@ -64,7 +64,8 @@ class CspClient {
       const std::vector<std::pair<std::size_t, Bytes>>& blocks) const;
   /// Installs the public key the CSP needs to answer PDP challenges.
   void set_key(const PublicKey& pk, const ProtocolParams& params) const;
-  /// Sampled PDP challenge over the given block indexes (cloud_audit.h).
+  /// Sampled PDP challenge over the given block indexes
+  /// (scenarios/ice/cloud_audit.h).
   [[nodiscard]] Proof challenge(const bn::BigInt& e, const bn::BigInt& g_s,
                                 const std::vector<std::size_t>& sample)
       const;

@@ -74,12 +74,12 @@ std::vector<bn::BigInt> ShardPlanner::merge_decode(
   return out;
 }
 
-std::vector<bn::BigInt> retrieve_tags_sharded(
+std::vector<bn::BigInt> retrieve_tags_direct(
     const pir::ShardedTagServer& tpa0, const pir::ShardedTagServer& tpa1,
     std::span<const std::size_t> indices, bn::Rng64& rng) {
   if (tpa0.epoch() != tpa1.epoch() || tpa0.n() != tpa1.n() ||
       tpa0.tag_bits() != tpa1.tag_bits()) {
-    throw ParamError("retrieve_tags_sharded: TPA replicas disagree");
+    throw ParamError("retrieve_tags_direct: TPA replicas disagree");
   }
   const ShardPlanner planner(tpa0.map_snapshot(), tpa0.tag_bits());
   ShardPlan plan = planner.plan(indices, rng);

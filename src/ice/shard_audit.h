@@ -80,10 +80,11 @@ class ShardPlanner {
   std::vector<std::unique_ptr<pir::PirClient>> clients_;
 };
 
-/// Direct in-process sharded retrieval against two ShardedTagServer
-/// replicas (the fan-out analogue of retrieve_tags_direct; used by tests
-/// and benches without a transport in the loop).
-std::vector<bn::BigInt> retrieve_tags_sharded(
+/// User-side helper: retrieves tags for `indices` from two sharded replicas
+/// (TagStore::server()) in process, with no transport in the loop; used by
+/// tests, benches and single-process baselines. The RPC variant lives in
+/// user_client.h. Works for any shard count.
+std::vector<bn::BigInt> retrieve_tags_direct(
     const pir::ShardedTagServer& tpa0, const pir::ShardedTagServer& tpa1,
     std::span<const std::size_t> indices, bn::Rng64& rng);
 

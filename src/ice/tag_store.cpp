@@ -1,7 +1,6 @@
 #include "ice/tag_store.h"
 
 #include "common/error.h"
-#include "ice/shard_audit.h"
 
 namespace ice::proto {
 namespace {
@@ -45,23 +44,6 @@ StoreEpochStats TagStore::epoch_stats() const {
   out.pins_active = pins_active();
   out.closes_skipped = closes_skipped_.load(std::memory_order_relaxed);
   return out;
-}
-
-std::vector<bn::BigInt> retrieve_tags_direct(
-    const TagStore& tpa0, const TagStore& tpa1,
-    std::span<const std::size_t> indices, bn::Rng64& rng) {
-  if (tpa0.n() != tpa1.n() || tpa0.tag_bits() != tpa1.tag_bits() ||
-      tpa0.epoch() != tpa1.epoch()) {
-    throw ParamError("retrieve_tags_direct: TPA replicas disagree");
-  }
-  const ShardPlanner planner(tpa0.shard_map(), tpa0.tag_bits());
-  ShardPlan plan = planner.plan(indices, rng);
-  if (plan.secrets.empty()) return {};
-  pir::ShardedPirResponse r0;
-  pir::ShardedPirResponse r1;
-  tpa0.respond_sharded(plan.queries[0], r0);
-  tpa1.respond_sharded(plan.queries[1], r1);
-  return planner.merge_decode(plan, r0, r1);
 }
 
 }  // namespace ice::proto

@@ -119,6 +119,12 @@ class TagStore {
     server_.respond_sharded_each(query, sink);
   }
 
+  /// The sharded replica itself, for direct in-process retrieval
+  /// (retrieve_tags_direct in ice/shard_audit.h).
+  [[nodiscard]] const pir::ShardedTagServer& server() const {
+    return server_;
+  }
+
  private:
   pir::ShardedTagServer server_;
   // Pin latch: shared with every outstanding SnapshotPin's deleter, so a
@@ -128,14 +134,5 @@ class TagStore {
   mutable std::atomic<std::uint64_t> pins_taken_{0};
   std::atomic<std::uint64_t> closes_skipped_{0};
 };
-
-/// User-side helper: retrieves tags for `indices` from two TagStore replicas
-/// (direct in-process variant used by tests and single-process simulations;
-/// the RPC variant lives in user_client.h). Works for any shard count.
-std::vector<bn::BigInt> retrieve_tags_direct(const TagStore& tpa0,
-                                             const TagStore& tpa1,
-                                             std::span<const std::size_t>
-                                                 indices,
-                                             bn::Rng64& rng);
 
 }  // namespace ice::proto

@@ -76,7 +76,10 @@ void unpack_pair(const simd::XorKernels& kern, const std::uint64_t* lo,
 
 PirServer::PirServer(const TagDatabase& db, const Embedding& embedding,
                      std::size_t parallelism)
-    : db_(&db), embedding_(&embedding), parallelism_(parallelism) {
+    : db_(&db),
+      embedding_(&embedding),
+      parallelism_(parallelism),
+      kernels_(&simd::kernels_for(simd::best_supported_tier())) {
   if (db.size() > embedding.n()) {
     throw ParamError("PirServer: database larger than embedding domain");
   }
@@ -89,9 +92,16 @@ PirResponse PirServer::respond(const PirQuery& query) const {
 }
 
 void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
+  detail::respond_into(*db_, *embedding_, parallelism_, *kernels_, query, out);
+}
+
+void detail::respond_into(const TagDatabase& db, const Embedding& embedding,
+                          std::size_t parallelism,
+                          const simd::XorKernels& kern, const PirQuery& query,
+                          PirResponse& out) {
   const std::vector<GF4Vector>& qs = query.points;
   for (const auto& q : qs) {
-    if (q.size() != embedding_->gamma()) {
+    if (q.size() != embedding.gamma()) {
       throw ParamError("PirServer: query point has wrong dimension");
     }
   }
@@ -99,14 +109,13 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
     out.entries.clear();
     return;
   }
-  const std::size_t n = db_->size();
-  const std::size_t k = db_->tag_bits();
-  const std::size_t gamma = embedding_->gamma();
-  const std::size_t w = db_->words_per_tag();
+  const std::size_t n = db.size();
+  const std::size_t k = db.tag_bits();
+  const std::size_t gamma = embedding.gamma();
+  const std::size_t w = db.words_per_tag();
   const std::size_t m = qs.size();
-  const Embedding::Triple* const triples = embedding_->triples().data();
-  const std::uint64_t* const rows = db_->rows_data();
-  const simd::XorKernels& kern = simd::active_kernels();
+  const Embedding::Triple* const triples = embedding.triples().data();
+  const std::uint64_t* const rows = db.rows_data();
 
   // Cache-blocked accumulator layout: per (shard, point) a contiguous run
   // of 2w(1 + gamma) words — the value pair [v_lo | v_hi] followed by the
@@ -117,7 +126,7 @@ void PirServer::respond_into(const PirQuery& query, PirResponse& out) const {
   const std::size_t pair = 2 * w;
   const std::size_t stride = pair * (1 + gamma);
   const std::size_t budget =
-      std::min(resolve_parallelism(parallelism_),
+      std::min(resolve_parallelism(parallelism),
                std::max<std::size_t>(1, n / kMinRowsPerChunk));
   const std::size_t num_shards = chunk_count(n, budget);
   auto lease = ScratchArena::local().take_zeroed(

@@ -16,6 +16,10 @@
 #include "pir/messages.h"
 #include "pir/tag_database.h"
 
+namespace ice::simd {
+struct XorKernels;
+}
+
 namespace ice::pir {
 
 class PirServer {
@@ -44,6 +48,20 @@ class PirServer {
   const TagDatabase* db_;
   const Embedding* embedding_;
   std::size_t parallelism_;
+  // The best XOR kernel tier this CPU supports, picked once by the
+  // constructor (as bignum::Montgomery picks its multiply kernel).
+  const simd::XorKernels* kernels_;
 };
+
+namespace detail {
+
+/// The fused sweep behind PirServer::respond_into, on an explicit XOR
+/// kernel bundle. PirServer passes the best supported tier; the tier
+/// differential tests and bench_pir's portable column pass another one.
+void respond_into(const TagDatabase& db, const Embedding& embedding,
+                  std::size_t parallelism, const simd::XorKernels& kern,
+                  const PirQuery& query, PirResponse& out);
+
+}  // namespace detail
 
 }  // namespace ice::pir

@@ -1,6 +1,6 @@
 // The runtime-dispatched XOR kernels: every supported tier must agree with
-// a plain scalar reference on every width (vector body + tails), and the
-// tier override must round-trip.
+// a plain scalar reference on every width (vector body + tails), and an
+// unsupported tier must be refused.
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
@@ -40,33 +40,6 @@ TEST(SimdTest, XorRowMatchesScalarReferenceAtEveryWidthAndTier) {
       for (std::size_t j = 0; j < w; ++j) expected[j] ^= src[j];
       k.xor_row(dst.data(), src.data(), w);
       EXPECT_EQ(dst, expected) << tier_name(tier) << " w=" << w;
-    }
-  }
-}
-
-TEST(SimdTest, XorRow2MatchesBranchyReferenceForEveryCoefficient) {
-  SplitMix64 rng(0x52);
-  for (XorTier tier : supported_tiers()) {
-    const XorKernels& k = kernels_for(tier);
-    for (std::size_t w : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{4}, std::size_t{7}, std::size_t{8},
-                          std::size_t{16}, std::size_t{21}}) {
-      for (std::uint8_t c = 0; c < 4; ++c) {
-        const auto src = random_words(rng, w);
-        auto lo = random_words(rng, w);
-        auto hi = random_words(rng, w);
-        auto exp_lo = lo;
-        auto exp_hi = hi;
-        for (std::size_t j = 0; j < w; ++j) {
-          if (c & 1) exp_lo[j] ^= src[j];
-          if (c & 2) exp_hi[j] ^= src[j];
-        }
-        k.xor_row2(lo.data(), hi.data(), src.data(), w, c);
-        EXPECT_EQ(lo, exp_lo) << tier_name(tier) << " w=" << w
-                              << " c=" << int{c};
-        EXPECT_EQ(hi, exp_hi) << tier_name(tier) << " w=" << w
-                              << " c=" << int{c};
-      }
     }
   }
 }
@@ -186,24 +159,12 @@ TEST(SimdTest, SpreadPairMatchesScalarReferenceAtEveryTierAndLength) {
   }
 }
 
-TEST(SimdTest, ActiveTierOverrideRoundTrips) {
-  const XorTier original = active_kernels().tier;
-  for (XorTier tier : supported_tiers()) {
-    set_active_tier(tier);
-    EXPECT_EQ(active_kernels().tier, tier);
-    EXPECT_STREQ(active_kernels().name, tier_name(tier));
-  }
-  set_active_tier(original);
-  EXPECT_EQ(active_kernels().tier, original);
-}
-
 TEST(SimdTest, UnsupportedTierRejected) {
   // kAvx512 is the top tier; if it is supported every tier is, and the
   // rejection path is unreachable on this CPU — probe via tier_supported.
   for (XorTier t : {XorTier::kAvx2, XorTier::kAvx512}) {
     if (!tier_supported(t)) {
       EXPECT_THROW((void)kernels_for(t), ParamError);
-      EXPECT_THROW(set_active_tier(t), ParamError);
     }
   }
   EXPECT_TRUE(tier_supported(XorTier::kPortable));

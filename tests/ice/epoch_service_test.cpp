@@ -305,7 +305,8 @@ TEST_F(EpochServiceTest, SnapshotAuditsBitExactAcrossLayoutsMidUpdate) {
       // Close both replicas and re-run: the merged state decodes.
       ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
       ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
-      const auto after = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
+      const auto after =
+          retrieve_tags_direct(tpa0.server(), tpa1.server(), wanted, rng);
       for (std::size_t l = 0; l < wanted.size(); ++l) {
         EXPECT_EQ(after[l], tpa0.tag(wanted[l]));
       }

@@ -95,7 +95,8 @@ TEST_F(TagStoreTest, DirectRetrievalRecoversExactTags) {
   TagStore tpa0(params_, tags);
   TagStore tpa1(params_, tags);
   const std::vector<std::size_t> wanted = {0, 7, 7, 29, 15};
-  const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng_);
+  const auto got =
+      retrieve_tags_direct(tpa0.server(), tpa1.server(), wanted, rng_);
   ASSERT_EQ(got.size(), wanted.size());
   for (std::size_t l = 0; l < wanted.size(); ++l) {
     EXPECT_EQ(got[l], tags[wanted[l]]);
@@ -111,11 +112,13 @@ TEST_F(TagStoreTest, RetrievalAfterUpdateAndCloseSeesNewTag) {
   tpa0.update(3, fresh);
   tpa1.update(3, fresh);
   // Pre-close retrieval decodes the epoch-t snapshot on both replicas.
-  const auto pre = retrieve_tags_direct(tpa0, tpa1, {{3}}, rng_);
+  const auto pre =
+      retrieve_tags_direct(tpa0.server(), tpa1.server(), {{3}}, rng_);
   EXPECT_EQ(pre[0], tags[3]);
   ASSERT_TRUE(tpa0.close_epoch(/*force=*/true).closed);
   ASSERT_TRUE(tpa1.close_epoch(/*force=*/true).closed);
-  const auto got = retrieve_tags_direct(tpa0, tpa1, {{3}}, rng_);
+  const auto got =
+      retrieve_tags_direct(tpa0.server(), tpa1.server(), {{3}}, rng_);
   EXPECT_EQ(got[0], fresh);
 }
 
@@ -125,7 +128,9 @@ TEST_F(TagStoreTest, MismatchedReplicasRejected) {
   TagStore tpa0(params_, tags);
   TagStore tpa1(params_,
                 std::vector<bn::BigInt>(tags.begin(), tags.begin() + 3));
-  EXPECT_THROW(retrieve_tags_direct(tpa0, tpa1, {{0}}, rng_), ParamError);
+  EXPECT_THROW(
+      retrieve_tags_direct(tpa0.server(), tpa1.server(), {{0}}, rng_),
+      ParamError);
 }
 
 // Any evaluator may answer either replica: the store's bitsliced engine

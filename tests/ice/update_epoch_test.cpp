@@ -54,16 +54,16 @@ TEST_F(UpdateEpochTest, UpdateVisibleToNextAuditRound) {
     // Snapshot isolation: the staged row is invisible to an audit round
     // running before the epoch close.
     const auto pre =
-        retrieve_tags_sharded(tpa0, tpa1, std::vector<std::size_t>{index},
-                              rng_);
+        retrieve_tags_direct(tpa0, tpa1, std::vector<std::size_t>{index},
+                             rng_);
     ASSERT_EQ(pre.size(), 1u);
     EXPECT_EQ(pre[0], before) << "staged row leaked for index " << index;
 
     ASSERT_TRUE(tpa0.close_epoch().closed);
     ASSERT_TRUE(tpa1.close_epoch().closed);
     const auto got =
-        retrieve_tags_sharded(tpa0, tpa1, std::vector<std::size_t>{index},
-                              rng_);
+        retrieve_tags_direct(tpa0, tpa1, std::vector<std::size_t>{index},
+                             rng_);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], fresh) << "stale row served for index " << index;
   }
@@ -94,7 +94,7 @@ TEST_F(UpdateEpochTest, AppendCrossesEpochBoundaryAndIsAuditable) {
 
   // A fresh round planned against the new epoch retrieves everything,
   // including the appended tag.
-  const auto got = retrieve_tags_sharded(
+  const auto got = retrieve_tags_direct(
       tpa0, tpa1, std::vector<std::size_t>{0, 8, 4}, rng_);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0], tags[0]);
@@ -210,7 +210,7 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
     bn::Rng64Adapter<SplitMix64> rng(gen);
     for (int round = 0; round < 12; ++round) {
       std::vector<std::size_t> wanted = {gen.below(n), gen.below(n)};
-      const auto got = retrieve_tags_sharded(tpa0, tpa1, wanted, rng);
+      const auto got = retrieve_tags_direct(tpa0, tpa1, wanted, rng);
       for (std::size_t i = 0; i < wanted.size(); ++i) {
         // The quiesced reference IS the original tag set: nothing merges
         // during the storm, so any deviation is a snapshot leak. No
@@ -243,7 +243,7 @@ TEST_F(UpdateEpochTest, StormAuditsMatchQuiescedReferenceBitExact) {
   // Quiesced post-close round decodes the merged state bit-exactly.
   std::vector<std::size_t> all(n);
   for (std::size_t i = 0; i < n; ++i) all[i] = i;
-  const auto got = retrieve_tags_sharded(tpa0, tpa1, all, rng_);
+  const auto got = retrieve_tags_direct(tpa0, tpa1, all, rng_);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(got[i], tpa0.tag(i)) << "post-merge decode wrong at " << i;
   }

@@ -187,22 +187,25 @@ TEST(PirBatchSimdTest, AllSupportedTiersProduceIdenticalResponses) {
   TagDatabase db(k);
   for (std::size_t i = 0; i < n; ++i) db.add(bn::random_bits(rng, k));
   const Embedding emb(n);
-  const PirServer server(db, emb);
   const PirClient client(emb, k);
   std::vector<std::size_t> wanted = {3, 77, 3, 119, 0};
   const auto enc = client.encode(wanted, rng);
 
-  const simd::XorTier original = simd::active_kernels().tier;
-  simd::set_active_tier(simd::XorTier::kPortable);
-  const PirResponse reference = server.respond(enc.queries[0]);
+  const auto respond_at = [&](simd::XorTier tier) {
+    PirResponse out;
+    pir::detail::respond_into(db, emb, 1, simd::kernels_for(tier),
+                              enc.queries[0], out);
+    return out;
+  };
+  const PirResponse reference = respond_at(simd::XorTier::kPortable);
+  ice::testing::expect_same_response(PirServer(db, emb).respond(enc.queries[0]),
+                                     reference, "PirServer");
   for (simd::XorTier tier :
        {simd::XorTier::kAvx2, simd::XorTier::kAvx512}) {
     if (!simd::tier_supported(tier)) continue;
-    simd::set_active_tier(tier);
-    ice::testing::expect_same_response(server.respond(enc.queries[0]), reference,
-                simd::tier_name(tier));
+    ice::testing::expect_same_response(respond_at(tier), reference,
+                                       simd::tier_name(tier));
   }
-  simd::set_active_tier(original);
 }
 
 TEST(PirBatchTest, EmptyBatchYieldsEmptyResponse) {

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "ice/csp_service.h"
 #include "ice/edge_service.h"
+#include "ice/shard_audit.h"
 #include "ice/tag.h"
 #include "ice/tpa_service.h"
 #include "mec/corruption.h"
@@ -40,7 +41,8 @@ TEST_F(BaselineTest, TrivialRetrieveMatchesPir) {
   proto::TagStore tpa1(params_, tags);
   const std::vector<std::size_t> wanted = {3, 17, 39, 3};
   const auto trivial = trivial_retrieve(tpa0, wanted);
-  const auto pir = proto::retrieve_tags_direct(tpa0, tpa1, wanted, rng_);
+  const auto pir =
+      proto::retrieve_tags_direct(tpa0.server(), tpa1.server(), wanted, rng_);
   EXPECT_EQ(trivial, pir);
 }
 
